@@ -78,8 +78,8 @@ inline const std::vector<std::string>& Table1Documents() {
 /// markup: leaf elements carry #PCDATA and the case element an id
 /// attribute, so documents are text-dominant the way the paper's corpora
 /// (DBLP, Mondial, XHTML crawls) are. This is the ingestion-throughput
-/// corpus — character data is where the DOM path pays per-node string
-/// copies and the SAX path lexes zero-copy views.
+/// corpus — character data is where a DOM parse pays per-node string
+/// copies and the streaming fold lexes zero-copy views.
 inline const std::vector<std::string>& Table1TextDocuments() {
   static const std::vector<std::string>* kDocs = [] {
     std::vector<ExperimentCase> cases = BuildTable1Cases(20060912);

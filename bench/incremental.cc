@@ -22,7 +22,7 @@ using bench_util::Stopwatch;
 
 int Run() {
   std::printf(
-      "Section 9 (incremental computation) — streaming AddDocument vs "
+      "Section 9 (incremental computation) — incremental AddXml vs "
       "batch re-inference\n");
   PrintRule();
 

@@ -1,6 +1,7 @@
-// Ingestion throughput: DOM parse-then-fold vs the streaming SAX fold,
-// with and without word-multiset deduplication, on the paper's corpora
-// (the multi-element Table 1 corpus and Table 2's example4). Reports
+// Ingestion throughput: DOM parse-then-fold (ParseXml plus the reference
+// fold in src/check/) vs the streaming SAX fold with its word-multiset
+// deduplication, on the paper's corpora (the multi-element Table 1
+// corpus and Table 2's example4). Reports
 // MB/s over the raw XML bytes, peak RSS, and an FNV-1a fingerprint of
 // the inferred DTD — the fingerprint must agree across modes (the
 // determinism contract), which the run_ingest_throughput.sh runner
@@ -9,7 +10,7 @@
 // mark.
 //
 //   ingest_throughput --corpus=table1|table2|synthetic
-//                     --mode=dom|sax|sax-nodedup [--synthetic-mb=N]
+//                     --mode=dom|sax [--synthetic-mb=N]
 //                     [--repeat=N] [--max-docs=N] [--json] [--stats]
 //                     [--dump-dir=DIR]
 //
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "check/reference_fold.h"
 #include "dtd/dtd_writer.h"
 #include "infer/inferrer.h"
 #include "infer/streaming.h"
@@ -66,9 +68,9 @@ long PeakRssKb() {
 struct RunResult {
   double seconds = 0;
   uint64_t dtd_fingerprint = 0;
-  int64_t distinct_words = 0;  // streaming modes only
+  int64_t distinct_words = 0;  // sax mode only
   int64_t words = 0;
-  int64_t dedup_hits = 0;      // dedup mode only
+  int64_t dedup_hits = 0;
   int64_t dedup_misses = 0;
   int64_t dedup_flushes = 0;
 };
@@ -80,7 +82,7 @@ RunResult RunOnce(const std::vector<std::string>& documents,
   bench_util::Stopwatch timer;
   if (mode == "dom") {
     for (const std::string& doc : documents) {
-      Status status = inferrer.AddXml(doc);
+      Status status = ReferenceFoldXml(doc, &inferrer);
       if (!status.ok()) {
         std::fprintf(stderr, "ingest failed: %s\n",
                      status.ToString().c_str());
@@ -88,9 +90,7 @@ RunResult RunOnce(const std::vector<std::string>& documents,
       }
     }
   } else {
-    StreamingFolder::Options options;
-    options.dedup_words = mode == "sax";
-    StreamingFolder folder(&inferrer, options);
+    StreamingFolder folder(&inferrer);
     for (const std::string& doc : documents) {
       Status status = folder.AddXml(doc);
       if (!status.ok()) {
@@ -159,14 +159,14 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: ingest_throughput "
                    "--corpus=table1|table2|synthetic "
-                   "--mode=dom|sax|sax-nodedup [--synthetic-mb=N] "
+                   "--mode=dom|sax [--synthetic-mb=N] "
                    "[--repeat=N] [--max-docs=N] [--json] [--stats]\n");
       return 2;
     }
   }
   if ((corpus != "table1" && corpus != "table2" &&
        corpus != "synthetic") ||
-      (mode != "dom" && mode != "sax" && mode != "sax-nodedup") ||
+      (mode != "dom" && mode != "sax") ||
       repeat < 1 || synthetic_mb < 0) {
     std::fprintf(stderr,
                  "bad --corpus/--mode/--repeat/--synthetic-mb value\n");

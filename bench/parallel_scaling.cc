@@ -3,7 +3,7 @@
 // (61 symbols, 10000 strings — one big element, dominated by parse +
 // fold) and a multi-element corpus built from the nine Table 1 content
 // models (exercises the per-element inference fan-out). The sequential
-// DtdInferrer over the same documents is the baseline each sweep is
+// streaming fold over the same documents is the baseline each sweep is
 // compared against; the run_parallel_scaling.sh runner captures the
 // sweep as BENCH_parallel.json.
 //
@@ -27,28 +27,14 @@ namespace {
 using bench_util::Example4Documents;
 using bench_util::Table1Documents;
 
-void RunSequential(benchmark::State& state,
-                   const std::vector<std::string>& documents) {
-  for (auto _ : state) {
-    DtdInferrer inferrer;
-    for (const std::string& doc : documents) {
-      if (!inferrer.AddXml(doc).ok()) state.SkipWithError("parse failed");
-    }
-    Result<Dtd> dtd = inferrer.InferDtd();
-    benchmark::DoNotOptimize(dtd.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * documents.size());
-}
-
-// Streaming SAX fold on one thread: the honest single-threaded
-// baseline for the parallel sweep, since the workers run the same
-// streaming fold per shard. The DOM baseline above stays for the
-// parse-then-fold comparison.
+// Streaming SAX fold on one thread: the single-threaded baseline for
+// the parallel sweep, since the workers run the same streaming fold per
+// shard.
 void RunSequentialStreaming(benchmark::State& state,
                             const std::vector<std::string>& documents) {
   for (auto _ : state) {
     DtdInferrer inferrer;
-    StreamingFolder folder(&inferrer, StreamingFolder::Options{});
+    StreamingFolder folder(&inferrer);
     for (const std::string& doc : documents) {
       if (!folder.AddXml(doc).ok()) state.SkipWithError("parse failed");
     }
@@ -75,11 +61,6 @@ void RunParallel(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * documents.size());
 }
 
-void BM_Sequential_Example4(benchmark::State& state) {
-  RunSequential(state, Example4Documents());
-}
-BENCHMARK(BM_Sequential_Example4)->Unit(benchmark::kMillisecond);
-
 void BM_SequentialStreaming_Example4(benchmark::State& state) {
   RunSequentialStreaming(state, Example4Documents());
 }
@@ -95,11 +76,6 @@ BENCHMARK(BM_Parallel_Example4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_Sequential_Table1(benchmark::State& state) {
-  RunSequential(state, Table1Documents());
-}
-BENCHMARK(BM_Sequential_Table1)->Unit(benchmark::kMillisecond);
 
 void BM_SequentialStreaming_Table1(benchmark::State& state) {
   RunSequentialStreaming(state, Table1Documents());

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Runs the ingestion-throughput comparison (DOM vs streaming SAX vs
-# streaming+dedup) and writes BENCH_ingest.json at the repository root
-# (see EXPERIMENTS.md, "Streaming ingestion throughput"). Each
+# Runs the ingestion-throughput comparison (DOM parse plus the reference
+# fold vs the streaming SAX fold) and writes BENCH_ingest.json at the
+# repository root (see EXPERIMENTS.md, "Streaming ingestion
+# throughput"). Each
 # corpus/mode pair runs in its own process so peak-RSS numbers are not
 # contaminated across modes (ru_maxrss is a process high-water mark).
 # Fails if the inferred-DTD fingerprints disagree across modes — the
@@ -28,11 +29,11 @@ if [ -n "${CONDTD_SYNTHETIC_MB:-}" ]; then
 fi
 
 for corpus in $corpora; do
-  for mode in dom sax sax-nodedup; do
+  for mode in dom sax; do
     "$binary" --corpus="$corpus" --mode="$mode" --json "$@" \
       >> "$tmp/results.jsonl"
   done
-  # All three modes must infer the same DTD.
+  # Both modes must infer the same DTD.
   fps="$(grep "\"corpus\": \"$corpus\"" "$tmp/results.jsonl" |
          sed 's/.*"dtd_fnv1a": "\([0-9a-f]*\)".*/\1/' | sort -u)"
   if [ "$(printf '%s\n' "$fps" | wc -l)" != 1 ]; then

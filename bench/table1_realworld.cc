@@ -15,6 +15,7 @@
 #include "gen/reservoir.h"
 #include "idtd/idtd.h"
 #include "infer/inferrer.h"
+#include "infer/streaming.h"
 #include "regex/equivalence.h"
 #include "xml/dom.h"
 
@@ -28,9 +29,9 @@ using bench_util::PrintRule;
 using bench_util::Stopwatch;
 
 /// Fidelity check: run one case through the *full* XML pipeline rather
-/// than the word-level API — build documents whose element carries the
-/// sample's child sequences, parse them, infer, and compare with the
-/// word-level result.
+/// than the word-level API — write documents whose element carries the
+/// sample's child sequences, fold them through the streaming fold,
+/// infer, and compare with the word-level result.
 bool FullXmlPipelineAgrees(const ExperimentCase& c, const ReRef& expected) {
   DtdInferrer inferrer;
   // Pre-intern the symbols in the case's id order.
@@ -38,11 +39,14 @@ bool FullXmlPipelineAgrees(const ExperimentCase& c, const ReRef& expected) {
     inferrer.alphabet()->Intern(c.alphabet.Name(i));
   }
   Symbol element = inferrer.alphabet()->Intern(c.name);
-  for (const Word& w : c.sample) {
-    XmlDocument doc;
-    doc.root = std::make_unique<XmlElement>(c.name);
-    for (Symbol s : w) doc.root->AddChild(c.alphabet.Name(s));
-    inferrer.AddDocument(doc);
+  {
+    StreamingFolder folder(&inferrer);
+    for (const Word& w : c.sample) {
+      XmlDocument doc;
+      doc.root = std::make_unique<XmlElement>(c.name);
+      for (Symbol s : w) doc.root->AddChild(c.alphabet.Name(s));
+      if (!folder.AddXml(doc.ToXml()).ok()) return false;
+    }
   }
   Result<ContentModel> model = inferrer.InferContentModel(element);
   if (!model.ok() || model->kind != ContentKind::kChildren) return false;
@@ -107,8 +111,8 @@ int Run() {
     std::printf("  paper crx    : %s\n", c.paper_crx.c_str());
     std::printf("  paper iDTD   : %s\n", c.paper_idtd.c_str());
     std::printf("  paper xtract : %s\n", c.paper_xtract.c_str());
-    // End-to-end fidelity: the full XML pipeline (documents → parser →
-    // extraction → auto algorithm) agrees with the word-level run.
+    // End-to-end fidelity: the full XML pipeline (documents → streaming
+    // fold → auto learner) agrees with the word-level run.
     const Result<ReRef>& via_auto =
         c.sample_size >= 100 ? idtd : crx;  // kAuto's switch
     if (via_auto.ok()) {

@@ -26,10 +26,10 @@ int main() {
   // generalization-friendly regime); they differ only in the support
   // threshold.
   condtd::InferenceOptions noisy_options;
-  noisy_options.algorithm = condtd::InferenceAlgorithm::kCrx;
+  noisy_options.learner = "crx";
   condtd::DtdInferrer noisy_inferrer(noisy_options);
   condtd::InferenceOptions clean_options;
-  clean_options.algorithm = condtd::InferenceAlgorithm::kCrx;
+  clean_options.learner = "crx";
   clean_options.noise_symbol_threshold = 50;
   condtd::DtdInferrer clean_inferrer(clean_options);
 

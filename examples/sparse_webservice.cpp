@@ -25,7 +25,7 @@ int main() {
   };
 
   condtd::InferenceOptions options;
-  options.algorithm = condtd::InferenceAlgorithm::kCrx;  // sparse regime
+  options.learner = "crx";  // sparse regime
   condtd::DtdInferrer inferrer(options);
   for (const std::string& r : responses) {
     if (!inferrer.AddXml(r).ok()) return 1;

@@ -157,8 +157,8 @@ inline EntityMatch MatchNamedEntity(std::string_view text, size_t amp) {
 
 /// Character-class bits for the XML subset this lexer accepts. The
 /// table replaces per-byte arithmetic classifiers: one L1 load + test
-/// instead of a chain of compares, and it keeps the DOM and SAX lexers
-/// agreeing on the exact same (ASCII-only) name alphabet.
+/// instead of a chain of compares, and it pins the lexer's name alphabet
+/// to ASCII.
 enum CharClass : unsigned char {
   kNameStartChar = 1,  ///< [A-Za-z_:]
   kNameChar = 2,       ///< [A-Za-z0-9_:.-]

@@ -1,9 +1,12 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <functional>
+#include <string_view>
 #include <utility>
 
 #include "automaton/dfa.h"
+#include "check/reference_fold.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "infer/parallel.h"
@@ -441,51 +444,67 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
   return OracleResult::Pass();
 }
 
-OracleResult CheckIngestionEquivalence(
-    const std::vector<std::string>& documents,
-    const InferenceOptions& options, int jobs) {
-  // DOM path.
-  InferenceOptions dom_options = options;
-  dom_options.streaming_ingest = false;
-  DtdInferrer dom(dom_options);
-  for (const std::string& doc : documents) {
-    Status st = dom.AddXml(doc);
-    if (!st.ok()) {
-      return OracleResult::Fail("DOM ingestion failed: " + st.ToString());
+namespace {
+
+/// Feeds `documents` to `add`, each clean document followed by its
+/// broken counterpart (if any). Every clean document must fold and
+/// every broken one must be rejected.
+OracleResult FoldSequence(const std::string& label,
+                          const std::vector<std::string>& documents,
+                          const std::vector<std::string>& broken,
+                          const std::function<Status(std::string_view)>& add) {
+  for (size_t d = 0; d < documents.size(); ++d) {
+    Status status = add(documents[d]);
+    if (!status.ok()) {
+      return OracleResult::Fail(label + " ingestion failed: " +
+                                status.ToString());
+    }
+    if (d < broken.size() && !broken[d].empty() && add(broken[d]).ok()) {
+      return OracleResult::Fail(label + " accepted a broken document "
+                                "meant to test rollback");
     }
   }
-  Result<Dtd> dom_dtd = dom.InferDtd();
-  if (!dom_dtd.ok()) {
-    return OracleResult::Fail("DOM inference failed: " +
-                              dom_dtd.status().ToString());
-  }
-  std::string dom_text = WriteDtd(dom_dtd.value(), *dom.alphabet());
+  return OracleResult::Pass();
+}
 
-  // Streaming SAX fold with cross-document word deduplication.
+}  // namespace
+
+OracleResult CheckIngestionEquivalence(
+    const std::vector<std::string>& documents,
+    const std::vector<std::string>& broken_documents,
+    const InferenceOptions& options, int jobs) {
+  DtdInferrer reference(options);
+  OracleResult run = FoldSequence(
+      "reference-fold", documents, broken_documents,
+      [&](std::string_view xml) { return ReferenceFoldXml(xml, &reference); });
+  if (!run.passed) return run;
+
   DtdInferrer streaming(options);
   {
     StreamingFolder folder(&streaming);
-    for (const std::string& doc : documents) {
-      Status st = folder.AddXml(doc);
-      if (!st.ok()) {
-        return OracleResult::Fail("streaming ingestion failed: " +
-                                  st.ToString());
-      }
-    }
+    run = FoldSequence(
+        "streaming", documents, broken_documents,
+        [&](std::string_view xml) { return folder.AddXml(xml); });
+    if (!run.passed) return run;
   }
-  Result<Dtd> streaming_dtd = streaming.InferDtd();
-  if (!streaming_dtd.ok()) {
-    return OracleResult::Fail("streaming inference failed: " +
-                              streaming_dtd.status().ToString());
-  }
-  std::string streaming_text =
-      WriteDtd(streaming_dtd.value(), *streaming.alphabet());
-  if (streaming_text != dom_text) {
-    return OracleResult::Fail("streaming DTD differs from DOM DTD:\n" +
-                              streaming_text + "vs\n" + dom_text);
+  const std::string streaming_state = streaming.SaveState();
+  const std::string reference_state = reference.SaveState();
+  if (streaming_state != reference_state) {
+    return OracleResult::Fail(
+        "streaming SaveState differs from the reference fold's (SOA "
+        "state order, supports or retained samples; with broken "
+        "documents interleaved, a rollback residue shows here too):\n" +
+        streaming_state + "vs\n" + reference_state);
   }
 
-  // Sharded parallel ingestion.
+  Result<Dtd> reference_dtd = reference.InferDtd();
+  if (!reference_dtd.ok()) {
+    return OracleResult::Fail("reference inference failed: " +
+                              reference_dtd.status().ToString());
+  }
+  std::string reference_text =
+      WriteDtd(reference_dtd.value(), *reference.alphabet());
+
   ParallelDtdInferrer parallel(options, jobs);
   for (const std::string& doc : documents) parallel.AddXml(doc);
   Result<Dtd> parallel_dtd = parallel.InferDtd();
@@ -495,99 +514,10 @@ OracleResult CheckIngestionEquivalence(
   }
   std::string parallel_text =
       WriteDtd(parallel_dtd.value(), *parallel.merged()->alphabet());
-  if (parallel_text != dom_text) {
+  if (parallel_text != reference_text) {
     return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
-                              ") DTD differs from DOM DTD:\n" +
-                              parallel_text + "vs\n" + dom_text);
-  }
-  return OracleResult::Pass();
-}
-
-namespace {
-
-/// One streaming run for CheckDedupCacheEquivalence: folds `documents`,
-/// interleaving each `broken` document after its clean counterpart (the
-/// parse failure must roll back without a trace), then returns the
-/// inferred DTD and SaveState text.
-OracleResult RunDedupPath(const std::vector<std::string>& documents,
-                          const std::vector<std::string>& broken,
-                          const InferenceOptions& options, bool legacy,
-                          std::string* dtd_text, std::string* state_text) {
-  const char* label = legacy ? "legacy" : "flat";
-  DtdInferrer inferrer(options);
-  {
-    StreamingFolder::Options folder_options;
-    folder_options.legacy_dedup_cache = legacy;
-    folder_options.ignore_dedup_env = true;
-    StreamingFolder folder(&inferrer, folder_options);
-    for (size_t d = 0; d < documents.size(); ++d) {
-      Status st = folder.AddXml(documents[d]);
-      if (!st.ok()) {
-        return OracleResult::Fail(std::string(label) +
-                                  "-cache ingestion failed: " +
-                                  st.ToString());
-      }
-      if (d < broken.size() && !broken[d].empty()) {
-        Status broken_status = folder.AddXml(broken[d]);
-        if (broken_status.ok()) {
-          return OracleResult::Fail(std::string(label) +
-                                    "-cache path accepted a broken "
-                                    "document meant to test rollback");
-        }
-      }
-    }
-    if (folder.using_legacy_cache() != legacy) {
-      return OracleResult::Fail(
-          "folder cache selection ignored Options::legacy_dedup_cache");
-    }
-  }
-  Result<Dtd> dtd = inferrer.InferDtd();
-  if (!dtd.ok()) {
-    return OracleResult::Fail(std::string(label) + "-cache inference "
-                              "failed: " + dtd.status().ToString());
-  }
-  *dtd_text = WriteDtd(dtd.value(), *inferrer.alphabet());
-  *state_text = inferrer.SaveState();
-  return OracleResult::Pass();
-}
-
-}  // namespace
-
-OracleResult CheckDedupCacheEquivalence(
-    const std::vector<std::string>& documents,
-    const std::vector<std::string>& broken_documents,
-    const InferenceOptions& options) {
-  std::string flat_dtd, flat_state;
-  OracleResult run = RunDedupPath(documents, broken_documents, options,
-                                  /*legacy=*/false, &flat_dtd, &flat_state);
-  if (!run.passed) return run;
-  std::string legacy_dtd, legacy_state;
-  run = RunDedupPath(documents, broken_documents, options, /*legacy=*/true,
-                     &legacy_dtd, &legacy_state);
-  if (!run.passed) return run;
-  if (flat_dtd != legacy_dtd) {
-    return OracleResult::Fail("flat-cache DTD differs from legacy-cache "
-                              "DTD:\n" + flat_dtd + "vs\n" + legacy_dtd);
-  }
-  if (flat_state != legacy_state) {
-    return OracleResult::Fail(
-        "flat-cache SaveState differs from legacy-cache SaveState (DTDs "
-        "agree — the divergence is in SOA state order, supports, or "
-        "retained samples)");
-  }
-  // Rollback leaves no residue: the same clean documents without the
-  // broken interleavings must reach the identical state.
-  if (!broken_documents.empty()) {
-    std::string clean_dtd, clean_state;
-    run = RunDedupPath(documents, {}, options, /*legacy=*/false,
-                       &clean_dtd, &clean_state);
-    if (!run.passed) return run;
-    if (clean_state != flat_state) {
-      return OracleResult::Fail(
-          "rejected documents perturbed the flat-cache state: a run "
-          "with broken documents interleaved differs from the "
-          "clean-only run");
-    }
+                              ") DTD differs from the reference fold's:\n" +
+                              parallel_text + "vs\n" + reference_text);
   }
   return OracleResult::Pass();
 }

@@ -101,30 +101,30 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
                             Symbol element, const Alphabet& alphabet,
                             const SummaryLimits& limits);
 
-/// Ingestion-path equivalence: the DOM path (DtdInferrer::AddXml), the
-/// streaming SAX fold and the sharded ParallelDtdInferrer with `jobs`
-/// threads must produce byte-identical DTDs for the same documents.
+/// Ingestion-path equivalence against the reference fold
+/// (check/reference_fold.h), on the same documents:
+///  * the sequential streaming fold (one StreamingFolder with its flat
+///    dedup cache) must reach byte-identical SaveState text — which
+///    exposes SOA state order, every support count and every retained
+///    text sample, so it is stronger than comparing DTDs;
+///  * rollback leaves no residue: `broken_documents` runs parallel to
+///    `documents` (empty entries are skipped), entry d is interleaved
+///    after clean document d, and both folds must reject it. The
+///    reference rejects at parse time, so the streaming fold, which
+///    rolls back a half-folded document, must still end in the clean
+///    state. For this to hold byte for byte each broken entry must be a
+///    truncation of its clean document: a rolled-back NOVEL word leaves
+///    a zero-count cache entry whose position shifts the flush order
+///    (the DTD is unaffected, SaveState is not), and a truncation
+///    completes only words its own clean document completes first;
+///  * the sharded ParallelDtdInferrer with `jobs` threads must emit a
+///    byte-identical DTD over the clean documents. Only the DTD: each
+///    shard keeps its own first `max_text_samples` text samples, so the
+///    merged SaveState may differ.
 OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
-    const InferenceOptions& options, int jobs);
-
-/// Dedup-cache equivalence: the flat open-addressing word cache and the
-/// legacy `std::unordered_map` oracle it replaced must produce
-/// byte-identical DTDs AND byte-identical SaveState text (the stronger
-/// check — SaveState exposes SOA state order, supports, and every
-/// retained sample). `broken_documents` runs parallel to `documents`
-/// (empty entries are skipped): entry d is interleaved after clean
-/// document d and must be rejected by both paths without perturbing the
-/// result (rollback transactionality of the word journal). For the
-/// byte-level no-residue check to hold, each broken entry must be a
-/// truncation of its clean document — a rolled-back NOVEL word leaves a
-/// zero-count entry whose position shifts the flush order (the DTD is
-/// unaffected, SaveState is not), and a truncation completes only words
-/// its own clean document completes first.
-OracleResult CheckDedupCacheEquivalence(
-    const std::vector<std::string>& documents,
     const std::vector<std::string>& broken_documents,
-    const InferenceOptions& options);
+    const InferenceOptions& options, int jobs);
 
 }  // namespace condtd
 

@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "base/rng.h"
 #include "gen/random_dtd.h"
@@ -212,6 +214,28 @@ PropertyFailure MakeFailure(const std::string& learner, int instance,
       ToString(trial.target, trial.alphabet, PrintStyle::kParseable);
   failure.sample = RenderSample(sample, trial.alphabet);
   return failure;
+}
+
+/// Nests a text-bearing copy of a random text-bearing element inside
+/// it. The inner copy ends first, so a fold that took samples at start
+/// tags would retain that element's text samples in a different order
+/// than one taking them at end tags. Random DTDs are acyclic and keep
+/// text in leaves, so without this no element ever nests in itself.
+void NestSameNameText(XmlDocument* doc, Rng* rng) {
+  std::vector<XmlElement*> with_text;
+  std::vector<XmlElement*> pending = {doc->root.get()};
+  while (!pending.empty()) {
+    XmlElement* element = pending.back();
+    pending.pop_back();
+    if (element->HasSignificantText()) with_text.push_back(element);
+    for (const auto& child : element->children()) {
+      pending.push_back(child.get());
+    }
+  }
+  if (with_text.empty()) return;
+  XmlElement* outer = with_text[rng->NextBelow(with_text.size())];
+  outer->AddChild(outer->name())
+      ->AppendText("nested" + std::to_string(rng->NextBelow(1000)));
 }
 
 }  // namespace
@@ -480,10 +504,21 @@ std::vector<PropertyFailure> RunIngestionProperty(
     Dtd dtd = RandomDtd(&alphabet, &rng, dtd_options);
     int num_docs = 3 + static_cast<int>(rng.NextBelow(6));
     std::vector<std::string> documents;
+    std::vector<std::string> broken;
     for (int d = 0; d < num_docs; ++d) {
       Result<XmlDocument> doc = GenerateDocument(dtd, alphabet, &rng);
       if (!doc.ok()) break;
-      documents.push_back(doc->ToXml());
+      if (rng.Bernoulli(0.5)) NestSameNameText(&doc.value(), &rng);
+      std::string xml = doc->ToXml();
+      // Truncate a copy of THIS document mid-way and leave a dangling
+      // '<': rejected in strict and lenient mode alike, and every word
+      // the truncation completes was just completed by the clean
+      // document, so the rollback must restore the exact cache state
+      // (see CheckIngestionEquivalence on why alignment matters).
+      broken.push_back(rng.Bernoulli(0.5)
+                           ? xml.substr(0, xml.size() / 2) + "<"
+                           : std::string());
+      documents.push_back(std::move(xml));
     }
     if (static_cast<int>(documents.size()) != num_docs) {
       PropertyFailure failure;
@@ -495,9 +530,13 @@ std::vector<PropertyFailure> RunIngestionProperty(
       failures.push_back(std::move(failure));
       continue;
     }
+    // Small sample caps make which text samples are retained — and so
+    // the fold order behind them — visible in SaveState.
+    InferenceOptions inference;
+    inference.max_text_samples = 1 + static_cast<int>(rng.NextBelow(4));
     int jobs = 2 + static_cast<int>(rng.NextBelow(3));
     OracleResult check =
-        CheckIngestionEquivalence(documents, InferenceOptions{}, jobs);
+        CheckIngestionEquivalence(documents, broken, inference, jobs);
     if (!check.passed) {
       PropertyFailure failure;
       failure.learner = "ingestion";
@@ -553,59 +592,6 @@ std::vector<PropertyFailure> RunRoundTripProperty(
       failure.seed = seed;
       failure.oracle = "dtd-round-trip";
       failure.detail = check.detail;
-      failures.push_back(std::move(failure));
-    }
-  }
-  return failures;
-}
-
-std::vector<PropertyFailure> RunDedupCacheProperty(
-    const PropertyOptions& options) {
-  std::vector<PropertyFailure> failures;
-  for (int i = 0; i < options.instances; ++i) {
-    uint64_t seed = InstanceSeed(options.seed, i);
-    Rng rng(seed);
-    Alphabet alphabet;
-    RandomDtdOptions dtd_options;
-    dtd_options.num_elements = 3 + static_cast<int>(rng.NextBelow(5));
-    Dtd dtd = RandomDtd(&alphabet, &rng, dtd_options);
-    int num_docs = 3 + static_cast<int>(rng.NextBelow(6));
-    std::vector<std::string> documents;
-    std::vector<std::string> broken;
-    for (int d = 0; d < num_docs; ++d) {
-      Result<XmlDocument> doc = GenerateDocument(dtd, alphabet, &rng);
-      if (!doc.ok()) break;
-      std::string xml = doc->ToXml();
-      // Truncate a copy of THIS document mid-way and leave a dangling
-      // '<': rejected in strict and lenient mode alike, and every word
-      // the truncation completes was just completed by the clean
-      // document, so the rollback must restore the exact cache state
-      // (see CheckDedupCacheEquivalence on why alignment matters).
-      broken.push_back(rng.Bernoulli(0.5)
-                           ? xml.substr(0, xml.size() / 2) + "<"
-                           : std::string());
-      documents.push_back(std::move(xml));
-    }
-    if (static_cast<int>(documents.size()) != num_docs) {
-      PropertyFailure failure;
-      failure.learner = "dedup-cache";
-      failure.instance = i;
-      failure.seed = seed;
-      failure.oracle = "generation";
-      failure.detail = "document generation failed for the random DTD";
-      failures.push_back(std::move(failure));
-      continue;
-    }
-    OracleResult check =
-        CheckDedupCacheEquivalence(documents, broken, InferenceOptions{});
-    if (!check.passed) {
-      PropertyFailure failure;
-      failure.learner = "dedup-cache";
-      failure.instance = i;
-      failure.seed = seed;
-      failure.oracle = "dedup-cache-equivalence";
-      failure.detail = check.detail;
-      failure.sample = documents;
       failures.push_back(std::move(failure));
     }
   }

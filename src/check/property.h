@@ -80,8 +80,12 @@ std::vector<PropertyFailure> RunInterleavingProperty(
 std::vector<PropertyFailure> RunMergeLawProperty(
     const PropertyOptions& options);
 
-/// Ingestion-path property: random DTDs generate random document sets;
-/// DOM, streaming and parallel ingestion must infer byte-identical DTDs
+/// Ingestion-path property: random DTDs generate random document sets
+/// (half of the documents get a text-bearing element nested in a
+/// same-name copy; half are followed by a truncated, broken copy) under
+/// a random text-sample cap of 1–4. The streaming fold must reach the
+/// reference fold's SaveState byte for byte, the broken copies must
+/// leave no residue, and the sharded pipeline must infer the same DTD
 /// (CheckIngestionEquivalence).
 std::vector<PropertyFailure> RunIngestionProperty(
     const PropertyOptions& options);
@@ -89,14 +93,6 @@ std::vector<PropertyFailure> RunIngestionProperty(
 /// Round-trip property: random DTDs must survive WriteDtd → ParseDtd
 /// unchanged (CheckDtdRoundTrip).
 std::vector<PropertyFailure> RunRoundTripProperty(
-    const PropertyOptions& options);
-
-/// Dedup-cache property: random document sets, with truncated (broken)
-/// variants interleaved, must fold to byte-identical DTDs and SaveState
-/// text through the flat word cache and the legacy map oracle, and the
-/// rejected documents must leave no residue
-/// (CheckDedupCacheEquivalence).
-std::vector<PropertyFailure> RunDedupCacheProperty(
     const PropertyOptions& options);
 
 }  // namespace condtd

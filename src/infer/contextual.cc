@@ -10,14 +10,6 @@ namespace condtd {
 
 namespace {
 
-// Same resolution DtdInferrer applies: the learner name wins over the
-// legacy enum, and the selected learner's capabilities size the
-// summaries' retention.
-std::string_view ResolvedLearnerName(const InferenceOptions& options) {
-  return options.learner.empty() ? LearnerNameOf(options.algorithm)
-                                 : std::string_view(options.learner);
-}
-
 LearnOptions MakeLearnOptions(const InferenceOptions& options) {
   LearnOptions out;
   out.noise_symbol_threshold = options.noise_symbol_threshold;
@@ -27,6 +19,8 @@ LearnOptions MakeLearnOptions(const InferenceOptions& options) {
   return out;
 }
 
+// Same rule DtdInferrer applies: the selected learner's capabilities
+// size the summaries' retention.
 SummaryLimits MakeLimits(const InferenceOptions& options,
                          const Learner* learner) {
   SummaryLimits limits;
@@ -43,7 +37,7 @@ SummaryLimits MakeLimits(const InferenceOptions& options,
 ContextualInferrer::ContextualInferrer(InferenceOptions options)
     : options_(std::move(options)),
       learn_options_(MakeLearnOptions(options_)),
-      learner_(LearnerRegistry::Global().Find(ResolvedLearnerName(options_))),
+      learner_(LearnerRegistry::Global().Find(options_.learner)),
       limits_(MakeLimits(options_, learner_)) {}
 
 ElementSummary& ContextualInferrer::Prepare(ElementSummary& summary) const {
@@ -67,8 +61,7 @@ void ContextualInferrer::AddDocument(const XmlDocument& doc) {
   if (doc.root == nullptr) return;
   // Depth-first, interning each name right before entering its subtree:
   // the alphabet grows in document (start-tag) order, matching
-  // DtdInferrer's DOM and streaming traversals so symbol-id tie-breaks
-  // agree across all ingestion paths.
+  // DtdInferrer's streaming fold so symbol-id tie-breaks agree.
   struct VisitFrame {
     const XmlElement* element;
     Symbol symbol;
@@ -121,7 +114,7 @@ Result<ContentModel> ContextualInferrer::InferContext(
   }
   if (learner_ == nullptr) {
     return Status::InvalidArgument(
-        "unknown learner '" + std::string(ResolvedLearnerName(options_)) +
+        "unknown learner '" + options_.learner +
         "' (registered: " + LearnerRegistry::Global().NamesForDisplay(", ") +
         ")");
   }

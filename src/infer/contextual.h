@@ -8,6 +8,7 @@
 
 #include "base/status.h"
 #include "infer/inferrer.h"
+#include "xml/dom.h"
 
 namespace condtd {
 

@@ -5,21 +5,19 @@
 
 namespace condtd {
 
-IngestEngine::IngestEngine(Options options) : options_(std::move(options)) {
+IngestEngine::IngestEngine(Options options)
+    : options_(std::move(options)),
+      sequential_(options_.inference),
+      folder_(&sequential_) {
   if (options_.jobs != 1) {
     parallel_.emplace(options_.inference, options_.jobs);
     parallel_->set_input_options(options_.input);
-  } else {
-    sequential_.emplace(options_.inference);
-    if (options_.inference.streaming_ingest) {
-      folder_.emplace(&*sequential_);
-    }
   }
 }
 
 Status IngestEngine::LoadState(std::string_view state) {
   if (parallel_) return parallel_->LoadState(state);
-  return sequential_->LoadState(state);
+  return sequential_.LoadState(state);
 }
 
 void IngestEngine::AddFile(const std::string& path) {
@@ -33,8 +31,7 @@ void IngestEngine::AddFile(const std::string& path) {
     errors_.push_back({index, content.status()});
     return;
   }
-  Status status = folder_ ? folder_->AddXml(content->view())
-                          : sequential_->AddXml(content->view());
+  Status status = folder_.AddXml(content->view());
   if (!status.ok()) errors_.push_back({index, status});
 }
 
@@ -44,8 +41,7 @@ void IngestEngine::AddXml(std::string_view xml) {
     parallel_->AddXml(xml);
     return;
   }
-  Status status = folder_ ? folder_->AddXml(xml)
-                          : sequential_->AddXml(xml);
+  Status status = folder_.AddXml(xml);
   if (!status.ok()) errors_.push_back({index, status});
 }
 
@@ -55,8 +51,8 @@ Status IngestEngine::Finish() {
     if (parallel_) {
       parallel_->Finish();
       errors_ = parallel_->errors();
-    } else if (folder_) {
-      folder_->Flush();
+    } else {
+      folder_.Flush();
     }
   }
   if (errors_.empty()) return Status::OK();
@@ -72,7 +68,7 @@ Status IngestEngine::Finish() {
 }
 
 DtdInferrer& IngestEngine::inferrer() {
-  return parallel_ ? *parallel_->merged() : *sequential_;
+  return parallel_ ? *parallel_->merged() : sequential_;
 }
 
 int IngestEngine::infer_threads() const {

@@ -19,9 +19,9 @@ namespace condtd {
 /// the CLI's `infer` subcommand and the serve daemon's journal replay
 /// both feed documents through this class instead of hand-rolling the
 /// sequential-vs-sharded split. At `jobs == 1` documents fold through a
-/// sequential DtdInferrer + StreamingFolder (or the DOM path when
-/// streaming is disabled); at any other value they route through
-/// ParallelDtdInferrer's work-stealing batch scheduler. The inferred
+/// sequential DtdInferrer + StreamingFolder; at any other value they
+/// route through ParallelDtdInferrer's work-stealing batch scheduler,
+/// whose shards run the same streaming fold. The inferred
 /// DTD — and the SaveState text — is byte-identical either way (the
 /// determinism contract pinned by parallel_test/differential_test), so
 /// callers pick `jobs` purely on throughput.
@@ -80,9 +80,10 @@ class IngestEngine {
 
  private:
   Options options_;
+  /// The sequential fold target (jobs == 1); left empty when sharded.
+  DtdInferrer sequential_;
+  StreamingFolder folder_;
   std::optional<ParallelDtdInferrer> parallel_;
-  std::optional<DtdInferrer> sequential_;
-  std::optional<StreamingFolder> folder_;
   std::vector<DocumentError> errors_;
   int64_t next_doc_index_ = 0;
   bool finished_ = false;

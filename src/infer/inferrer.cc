@@ -6,21 +6,14 @@
 #include <thread>
 #include <utility>
 
-#include "base/strings.h"
 #include "infer/streaming.h"
 #include "obs/metrics.h"
 #include "regex/properties.h"
-#include "xml/parser.h"
 #include "xsd/numeric.h"
 
 namespace condtd {
 
 namespace {
-
-std::string_view ResolvedLearnerName(const InferenceOptions& options) {
-  return options.learner.empty() ? LearnerNameOf(options.algorithm)
-                                 : std::string_view(options.learner);
-}
 
 LearnOptions MakeLearnOptions(const InferenceOptions& options) {
   LearnOptions out;
@@ -47,99 +40,15 @@ SummaryLimits MakeLimits(const InferenceOptions& options,
 
 }  // namespace
 
-std::string_view LearnerNameOf(InferenceAlgorithm algorithm) {
-  switch (algorithm) {
-    case InferenceAlgorithm::kAuto:
-      return "auto";
-    case InferenceAlgorithm::kIdtd:
-      return "idtd";
-    case InferenceAlgorithm::kCrx:
-      return "crx";
-    case InferenceAlgorithm::kRewriteOnly:
-      return "rewrite";
-  }
-  return "auto";
-}
-
 DtdInferrer::DtdInferrer(InferenceOptions options)
     : options_(std::move(options)),
       learn_options_(MakeLearnOptions(options_)),
-      learner_(LearnerRegistry::Global().Find(ResolvedLearnerName(options_))),
+      learner_(LearnerRegistry::Global().Find(options_.learner)),
       store_(MakeLimits(options_, learner_)) {}
 
 Status DtdInferrer::AddXml(std::string_view xml) {
-  obs::CounterAdd(obs::Counter::kBytesIngested,
-                  static_cast<int64_t>(xml.size()));
-  Result<XmlDocument> doc = [&] {
-    obs::StageSpan span(obs::Stage::kLexParse);
-    return options_.lenient_xml ? ParseXmlLenient(xml) : ParseXml(xml);
-  }();
-  if (!doc.ok()) {
-    obs::CounterAdd(obs::Counter::kDocumentsFailed, 1);
-    return doc.status();
-  }
-  AddDocument(doc.value());
-  obs::CounterAdd(obs::Counter::kDocumentsIngested, 1);
-  return Status::OK();
-}
-
-void DtdInferrer::AddDocument(const XmlDocument& doc) {
-  if (doc.root == nullptr) return;
-  store_.AddRoot(alphabet_.Intern(doc.root->name()));
-
-  // Depth-first traversal collecting each element's child-name word.
-  // Each name is interned immediately before its subtree is entered, so
-  // the alphabet grows in document (start-tag) order — the same order the
-  // streaming SAX path interns in, which is what keeps the two ingestion
-  // paths' symbol ids (and therefore their tie-breaks and inferred DTDs)
-  // identical.
-  struct VisitFrame {
-    const XmlElement* element;
-    Symbol symbol;
-    size_t next_child = 0;
-    Word word;
-  };
-  std::vector<VisitFrame> stack;
-  auto open = [&](const XmlElement* element, Symbol symbol) {
-    ElementSummary& summary = store_.Ensure(symbol);
-    ++summary.occurrences;
-    if (element->HasSignificantText()) {
-      summary.has_text = true;
-      summary.AddTextSample(std::string(StripWhitespace(element->text())),
-                            store_.limits());
-    }
-    if (options_.infer_attributes) {
-      for (const auto& [key, value] : element->attributes()) {
-        ++summary.attribute_counts[key];
-      }
-    }
-    stack.push_back({element, symbol, 0, {}});
-    stack.back().word.reserve(element->children().size());
-  };
-  open(doc.root.get(), alphabet_.Intern(doc.root->name()));
-  while (!stack.empty()) {
-    VisitFrame& frame = stack.back();
-    const auto& children = frame.element->children();
-    if (frame.next_child < children.size()) {
-      const XmlElement* child = children[frame.next_child++].get();
-      Symbol cs = alphabet_.Intern(child->name());
-      frame.word.push_back(cs);
-      store_.MarkSeenAsChild(cs);
-      open(child, cs);  // invalidates `frame`; not used again this round
-    } else {
-      obs::CounterAdd(obs::Counter::kWordsFolded, 1);
-      store_.Ensure(frame.symbol)
-          .AddChildWord(frame.word, 1, store_.limits());
-      stack.pop_back();
-    }
-  }
-}
-
-Status DtdInferrer::AddXmlStreaming(std::string_view xml) {
-  StreamingFolder folder(this);
-  CONDTD_RETURN_IF_ERROR(folder.AddXml(xml));
-  folder.Flush();
-  return Status::OK();
+  StreamingFolder folder(this);  // flushes on destruction
+  return folder.AddXml(xml);
 }
 
 void DtdInferrer::AddWords(Symbol element, const std::vector<Word>& words) {
@@ -177,7 +86,7 @@ std::vector<Symbol> DtdInferrer::Elements() const {
 Result<ReRef> DtdInferrer::LearnRegex(const ElementSummary& summary) const {
   if (learner_ == nullptr) {
     return Status::InvalidArgument(
-        "unknown learner '" + std::string(ResolvedLearnerName(options_)) +
+        "unknown learner '" + options_.learner +
         "' (registered: " +
         LearnerRegistry::Global().NamesForDisplay(", ") + ")");
   }

@@ -11,38 +11,20 @@
 #include "dtd/model.h"
 #include "infer/summary.h"
 #include "learn/learner.h"
-#include "xml/dom.h"
 #include "xsd/writer.h"
 
 namespace condtd {
 
-/// Legacy spelling of the built-in learner choice, kept for source
-/// compatibility: each value is a thin alias for a LearnerRegistry name
-/// (see LearnerNameOf). New code — and any learner beyond these four,
-/// like the Section 8 baselines "trang" and "xtract" — selects by name
-/// via InferenceOptions::learner.
-enum class InferenceAlgorithm {
-  /// The paper's two-regime recommendation: iDTD when the element has
-  /// plenty of data (specialization), CRX when data is sparse
-  /// (generalization). The switch is `auto_idtd_min_words`.
-  kAuto,
-  kIdtd,
-  kCrx,
-  kRewriteOnly,  ///< plain Algorithm 1 (fails on non-representative data)
-};
-
-/// The registry name the enum value aliases.
-std::string_view LearnerNameOf(InferenceAlgorithm algorithm);
-
 struct InferenceOptions {
-  InferenceAlgorithm algorithm = InferenceAlgorithm::kAuto;
-  /// Registry name of the per-element learner. When empty (the default)
-  /// the legacy `algorithm` enum decides; when set it wins. Any name
-  /// registered in LearnerRegistry::Global() works, e.g. "trang" or
-  /// "xtract".
-  std::string learner;
-  /// kAuto threshold: elements with at least this many observed words go
-  /// through iDTD, sparser ones through CRX.
+  /// Registry name of the per-element learner. Any name registered in
+  /// LearnerRegistry::Global() works: "auto" (the paper's two-regime
+  /// recommendation — iDTD when an element has plenty of data, CRX when
+  /// data is sparse), "idtd", "crx", "rewrite" (plain Algorithm 1), the
+  /// interleaving learners "isore"/"sire", and the Section 8 baselines
+  /// "trang" and "xtract".
+  std::string learner = "auto";
+  /// "auto" threshold: elements with at least this many observed words
+  /// go through iDTD, sparser ones through CRX.
   int auto_idtd_min_words = 100;
   /// Section 9 noise handling: element names supported by fewer than
   /// this many occurrences are dropped from content models (0 = off).
@@ -63,11 +45,6 @@ struct InferenceOptions {
   /// end tags are repaired instead of rejected) — for corpora like the
   /// paper's XHTML crawl where 89% of documents are not well-formed.
   bool lenient_xml = false;
-  /// Ingest documents through the streaming SAX fold (no DOM
-  /// materialization) where the caller supports it (CLI `infer`,
-  /// ParallelDtdInferrer shards). The inferred DTD is identical either
-  /// way; this only selects the faster path.
-  bool streaming_ingest = true;
   /// Documents per scheduler batch in ParallelDtdInferrer: workers pull
   /// whole batches from the work-stealing deque, so this trades hand-off
   /// overhead (small batches) against load-balance granularity (large
@@ -79,8 +56,10 @@ struct InferenceOptions {
 /// (or raw per-element words); it maintains only the incremental
 /// summaries of Section 9 — a SummaryStore of per-element
 /// ElementSummary values — so the XML data never needs to stay
-/// resident. Per element it dispatches to the configured Learner from
-/// the global registry.
+/// resident. Documents fold in through the streaming SAX fold
+/// (StreamingFolder, infer/streaming.h); no document tree is built. Per
+/// element it dispatches to the configured Learner from the global
+/// registry.
 class DtdInferrer {
  public:
   explicit DtdInferrer(InferenceOptions options = {});
@@ -100,20 +79,12 @@ class DtdInferrer {
   /// (inference then fails with the registered names listed).
   const Learner* learner() const { return learner_; }
 
-  /// Parses and folds an XML document given as text (DOM path: the
-  /// document tree is materialized, then folded).
+  /// Parses and folds one XML document through a per-call
+  /// StreamingFolder (strict or lenient per `lenient_xml`). On error the
+  /// document contributes nothing. Corpus-scale callers that want
+  /// cross-document word deduplication should hold a StreamingFolder
+  /// instead; this form dedups only within the document.
   Status AddXml(std::string_view xml);
-
-  /// Parses and folds an XML document through the streaming SAX path —
-  /// no `XmlElement` tree is built; element words fold straight into the
-  /// per-element summaries. Produces the same summaries (and therefore a
-  /// byte-identical DTD) as `AddXml`. Corpus-scale callers that want
-  /// cross-document word deduplication should hold a `StreamingFolder`
-  /// instead; this per-call form dedups only within the document.
-  Status AddXmlStreaming(std::string_view xml);
-
-  /// Folds a parsed document.
-  void AddDocument(const XmlDocument& doc);
 
   /// Directly folds words for one element (used by experiments).
   void AddWords(Symbol element, const std::vector<Word>& words);

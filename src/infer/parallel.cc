@@ -126,9 +126,8 @@ void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
       }
     }
     // Parse + fold without any lock — the hot path touches only
-    // shard-local state. Streaming (the default) folds SAX events
-    // straight into the shard's summaries; the DOM path stays available
-    // for comparison (`streaming_ingest = false`).
+    // shard-local state: the streaming fold writes SAX events straight
+    // into the shard's summaries.
     //
     // Exception containment: a document that throws mid-ingestion
     // (std::bad_alloc on a pathological input, std::length_error from a
@@ -148,8 +147,7 @@ void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
                 ingest_fault_.load(std::memory_order_acquire)) {
           fault(item.doc_index);
         }
-        status = options_.streaming_ingest ? shard->folder.AddXml(xml)
-                                           : shard->inferrer.AddXml(xml);
+        status = shard->folder.AddXml(xml);
       } catch (const std::exception& e) {
         shard->folder.AbortDocument();
         obs::SchedAdd(obs::SchedCounter::kWorkerExceptions, 1);

@@ -142,10 +142,9 @@ class ParallelDtdInferrer {
     explicit Shard(const InferenceOptions& options)
         : inferrer(options), folder(&inferrer) {}
     DtdInferrer inferrer;
-    /// Streaming fold driver over `inferrer` (used when
-    /// `InferenceOptions::streaming_ingest` is set): folds documents
-    /// without a DOM and dedups repeated words shard-locally. Flushed at
-    /// the barrier before the shard merges.
+    /// Streaming fold driver over `inferrer`: folds documents without a
+    /// DOM and dedups repeated words shard-locally. Flushed at the
+    /// barrier before the shard merges.
     StreamingFolder folder;
     /// Alphabet ids [first, last) of this shard that were first interned
     /// while folding `doc_index` — the replay log for rebuilding the

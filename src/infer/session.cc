@@ -5,14 +5,13 @@
 namespace condtd {
 
 IngestSession::IngestSession(InferenceOptions options)
-    : options_(std::move(options)), inferrer_(options_) {
-  if (options_.streaming_ingest) folder_.emplace(&inferrer_);
-}
+    : options_(std::move(options)),
+      inferrer_(options_),
+      folder_(&inferrer_) {}
 
 Status IngestSession::Ingest(std::string_view xml) {
   std::lock_guard<std::mutex> lock(mu_);
-  Status status =
-      folder_ ? folder_->AddXml(xml) : inferrer_.AddXml(xml);
+  Status status = folder_.AddXml(xml);
   if (!status.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     return status;
@@ -41,7 +40,7 @@ Status IngestSession::LoadState(std::string_view state) {
   // Flush first so the cached weighted folds of earlier documents land
   // before the loaded names intern (keeps the combined state equal to a
   // sequential ingest-then-load run).
-  if (folder_) folder_->Flush();
+  folder_.Flush();
   Status status = inferrer_.LoadState(state);
   if (!status.ok()) return status;
   epoch_.fetch_add(1, std::memory_order_release);
@@ -50,7 +49,7 @@ Status IngestSession::LoadState(std::string_view state) {
 
 void IngestSession::Snapshot(std::string* state, int64_t* epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (folder_) folder_->Flush();
+  folder_.Flush();
   *state = inferrer_.SaveState();
   if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_relaxed);
 }
@@ -76,7 +75,7 @@ size_t IngestSession::ApproxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t bytes = inferrer_.summaries().ApproxBytes() +
                  inferrer_.alphabet().ApproxBytes();
-  if (folder_) bytes += folder_->cache_bytes_resident();
+  bytes += folder_.cache_bytes_resident();
   return bytes;
 }
 

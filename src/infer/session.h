@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,9 +46,8 @@ class IngestSession {
 
   const InferenceOptions& options() const { return options_; }
 
-  /// Parses and folds one document (streaming SAX by default, DOM when
-  /// the options disable streaming_ingest). On error the document
-  /// contributes nothing. Thread-safe.
+  /// Parses and folds one document through the session's streaming
+  /// fold. On error the document contributes nothing. Thread-safe.
   Status Ingest(std::string_view xml);
 
   /// Opens `path` (hardened InputBuffer: regular files only) and
@@ -100,7 +98,7 @@ class IngestSession {
   InferenceOptions options_;
   mutable std::mutex mu_;
   DtdInferrer inferrer_;
-  std::optional<StreamingFolder> folder_;
+  StreamingFolder folder_;
   std::atomic<int64_t> epoch_{0};
   std::atomic<int64_t> documents_{0};
   std::atomic<int64_t> failed_{0};

@@ -1,6 +1,5 @@
 #include "infer/streaming.h"
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -10,45 +9,15 @@
 
 namespace condtd {
 
-namespace {
-
-/// CONDTD_LEGACY_DEDUP selects the pre-rebuild unordered_map dedup cache
-/// (the differential oracle). Any non-empty value other than "0" counts.
-bool LegacyDedupFromEnv() {
-  const char* env = std::getenv("CONDTD_LEGACY_DEDUP");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
-
 StreamingFolder::StreamingFolder(DtdInferrer* inferrer)
     : StreamingFolder(inferrer, Options()) {}
 
 StreamingFolder::StreamingFolder(DtdInferrer* inferrer, Options options)
     : inferrer_(inferrer),
       store_(&inferrer->summaries()),
-      options_(options) {
-  if (!options_.ignore_dedup_env && !options_.legacy_dedup_cache &&
-      LegacyDedupFromEnv()) {
-    options_.legacy_dedup_cache = true;
-  }
-}
+      options_(options) {}
 
 StreamingFolder::~StreamingFolder() { Flush(); }
-
-size_t StreamingFolder::cache_bytes_resident() const {
-  if (!options_.legacy_dedup_cache) return cache_.bytes_resident();
-  // Structural estimate for the legacy node-based map: one heap node per
-  // entry (key + value + two node pointers of bucket bookkeeping), the
-  // bucket array, and each key's Word heap buffer.
-  size_t bytes = legacy_cache_.bucket_count() * sizeof(void*);
-  for (const auto& [key, count] : legacy_cache_) {
-    bytes += sizeof(WordKey) + sizeof(int64_t) + 2 * sizeof(void*) +
-             key.word.capacity() * sizeof(Symbol);
-  }
-  return bytes;
-}
 
 ElementSummary* StreamingFolder::FindState(Symbol symbol) {
   size_t index = static_cast<size_t>(symbol);
@@ -99,79 +68,41 @@ void StreamingFolder::CompleteTop() {
   Frame& frame = stack_[depth_ - 1];
   ++words_folded_;
   obs::CounterAdd(obs::Counter::kWordsFolded, 1);
-  if (options_.dedup_words) {
-    // Dense per-document occurrence aggregation: sum occurrences and
-    // has_text per symbol; only samples and attribute-bearing
-    // occurrences stage a per-occurrence record.
-    const size_t idx = static_cast<size_t>(frame.symbol);
-    if (idx >= doc_occurrences_.size()) {
-      doc_occurrences_.resize(idx + 1, 0);
-      doc_has_text_.resize(idx + 1, 0);
-    }
-    if (doc_occurrences_[idx]++ == 0) doc_touched_.push_back(frame.symbol);
-    if (frame.has_text) {
-      doc_has_text_[idx] = 1;
-      if (frame.collect_text) {
-        doc_sample_records_.push_back(
-            {frame.symbol, static_cast<uint32_t>(doc_samples_.size())});
-        doc_samples_.push_back(arena_.Copy(StripWhitespace(frame.text)));
-      }
-    }
-    if (frame.attr_count > 0) {
-      doc_attr_records_.push_back(
-          {frame.symbol, frame.attr_first, frame.attr_count});
-    }
-    if (!options_.legacy_dedup_cache) {
-      // The frame's hash was built incrementally as children appended,
-      // so the commit is one probe — no re-walk of the word.
-      FlatWordCache::Upserted result =
-          cache_.Upsert(frame.word_hash, frame.symbol, frame.word.data(),
-                        static_cast<uint32_t>(frame.word.size()));
-      if (result.inserted) {
-        ++dedup_misses_;
-        obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
-      } else {
-        ++dedup_hits_;
-        obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
-      }
-      ++cache_.entry(result.index).count;
-      word_journal_.push_back(result.index);
-    } else {
-      auto it = legacy_cache_.find(WordKeyRef{frame.symbol, &frame.word});
-      if (it == legacy_cache_.end()) {
-        it = legacy_cache_
-                 .emplace(WordKey{frame.symbol, std::move(frame.word)}, 0)
-                 .first;
-        legacy_flush_order_.push_back(&*it);
-        ++dedup_misses_;
-        obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
-      } else {
-        ++dedup_hits_;
-        obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
-      }
-      ++it->second;
-      legacy_word_journal_.push_back(&it->second);
-    }
-  } else {
-    // Eager mode (benchmark baseline): fold and account immediately.
-    ElementSummary& summary = EnsureState(frame.symbol);
-    ++summary.occurrences;
-    if (frame.has_text) {
-      summary.has_text = true;
-      summary.AddTextSample(std::string(StripWhitespace(frame.text)),
-                            store_->limits());
-    }
-    for (uint32_t a = 0; a < frame.attr_count; ++a) {
-      std::string_view key = attr_keys_[frame.attr_first + a];
-      auto it = summary.attribute_counts.find(key);
-      if (it == summary.attribute_counts.end()) {
-        it = summary.attribute_counts.emplace(std::string(key), 0).first;
-      }
-      ++it->second;
-    }
-    summary.AddChildWord(frame.word, 1, store_->limits());
-    for (Symbol s : frame.word) store_->MarkSeenAsChild(s);
+  // Dense per-document occurrence aggregation: sum occurrences and
+  // has_text per symbol; only samples and attribute-bearing occurrences
+  // stage a per-occurrence record.
+  const size_t idx = static_cast<size_t>(frame.symbol);
+  if (idx >= doc_occurrences_.size()) {
+    doc_occurrences_.resize(idx + 1, 0);
+    doc_has_text_.resize(idx + 1, 0);
   }
+  if (doc_occurrences_[idx]++ == 0) doc_touched_.push_back(frame.symbol);
+  if (frame.has_text) {
+    doc_has_text_[idx] = 1;
+    if (frame.collect_text) {
+      doc_sample_records_.push_back(
+          {frame.symbol, static_cast<uint32_t>(doc_samples_.size())});
+      doc_samples_.push_back(arena_.Copy(StripWhitespace(frame.text)));
+    }
+  }
+  if (frame.attr_count > 0) {
+    doc_attr_records_.push_back(
+        {frame.symbol, frame.attr_first, frame.attr_count});
+  }
+  // The frame's hash was built incrementally as children appended, so
+  // the commit is one probe — no re-walk of the word.
+  FlatWordCache::Upserted result =
+      cache_.Upsert(frame.word_hash, frame.symbol, frame.word.data(),
+                    static_cast<uint32_t>(frame.word.size()));
+  if (result.inserted) {
+    ++dedup_misses_;
+    obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
+  } else {
+    ++dedup_hits_;
+    obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
+  }
+  ++cache_.entry(result.index).count;
+  word_journal_.push_back(result.index);
   --depth_;
 }
 
@@ -180,53 +111,47 @@ void StreamingFolder::CommitDocument() {
   store_->AddRoot(root_symbol_);
   ++documents_folded_;
   obs::CounterAdd(obs::Counter::kDocumentsIngested, 1);
-  if (options_.dedup_words) {
-    // One store touch per distinct symbol this document, not one per
-    // occurrence; occurrence sums and has_text are order-insensitive.
-    for (Symbol s : doc_touched_) {
-      const size_t idx = static_cast<size_t>(s);
-      ElementSummary& summary = EnsureState(s);
-      summary.occurrences += doc_occurrences_[idx];
-      if (doc_has_text_[idx] != 0) summary.has_text = true;
-    }
-    // Samples keep per-occurrence records applied in end-tag order — the
-    // same order the per-record commit loop used, so retention under the
-    // cap is unchanged.
-    for (const SampleRecord& record : doc_sample_records_) {
-      EnsureState(record.symbol)
-          .AddTextSample(std::string(doc_samples_[record.sample_index]),
-                         store_->limits());
-    }
-    for (const AttrRecord& record : doc_attr_records_) {
-      ElementSummary& summary = EnsureState(record.symbol);
-      for (uint32_t a = 0; a < record.attr_count; ++a) {
-        std::string_view key = attr_keys_[record.attr_first + a];
-        auto it = summary.attribute_counts.find(key);
-        if (it == summary.attribute_counts.end()) {
-          it = summary.attribute_counts.emplace(std::string(key), 0).first;
-        }
-        ++it->second;
+  // One store touch per distinct symbol this document, not one per
+  // occurrence; occurrence sums and has_text are order-insensitive.
+  for (Symbol s : doc_touched_) {
+    const size_t idx = static_cast<size_t>(s);
+    ElementSummary& summary = EnsureState(s);
+    summary.occurrences += doc_occurrences_[idx];
+    if (doc_has_text_[idx] != 0) summary.has_text = true;
+  }
+  // Samples keep per-occurrence records applied in end-tag order, so
+  // retention under the cap is the first samples by end tag.
+  for (const SampleRecord& record : doc_sample_records_) {
+    EnsureState(record.symbol)
+        .AddTextSample(std::string(doc_samples_[record.sample_index]),
+                       store_->limits());
+  }
+  for (const AttrRecord& record : doc_attr_records_) {
+    ElementSummary& summary = EnsureState(record.symbol);
+    for (uint32_t a = 0; a < record.attr_count; ++a) {
+      std::string_view key = attr_keys_[record.attr_first + a];
+      auto it = summary.attribute_counts.find(key);
+      if (it == summary.attribute_counts.end()) {
+        it = summary.attribute_counts.emplace(std::string(key), 0).first;
       }
+      ++it->second;
     }
-    for (Symbol s : doc_new_children_) store_->MarkSeenAsChild(s);
-    // The cache increments are already in place; committing just retires
-    // the rollback journal (ResetDocument must not undo them).
-    word_journal_.clear();
-    legacy_word_journal_.clear();
-    obs::GaugeMax(obs::Gauge::kDedupCachePeak, distinct_words_cached());
-    if (obs::StatsEnabled()) {
-      obs::GaugeMax(obs::Gauge::kDedupCacheBytesPeak,
-                    static_cast<int64_t>(cache_bytes_resident()));
-      if (!options_.legacy_dedup_cache) {
-        obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
-                      cache_.probe_steps() - probe_steps_published_);
-        probe_steps_published_ = cache_.probe_steps();
-      }
-    }
-    if (static_cast<size_t>(distinct_words_cached()) >=
-        options_.max_distinct_words) {
-      Flush();
-    }
+  }
+  for (Symbol s : doc_new_children_) store_->MarkSeenAsChild(s);
+  // The cache increments are already in place; committing just retires
+  // the rollback journal (ResetDocument must not undo them).
+  word_journal_.clear();
+  obs::GaugeMax(obs::Gauge::kDedupCachePeak, distinct_words_cached());
+  if (obs::StatsEnabled()) {
+    obs::GaugeMax(obs::Gauge::kDedupCacheBytesPeak,
+                  static_cast<int64_t>(cache_bytes_resident()));
+    obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
+                  cache_.probe_steps() - probe_steps_published_);
+    probe_steps_published_ = cache_.probe_steps();
+  }
+  if (static_cast<size_t>(distinct_words_cached()) >=
+      options_.max_distinct_words) {
+    Flush();
   }
   ResetDocument();
 }
@@ -237,8 +162,6 @@ void StreamingFolder::ResetDocument() {
   // Flush() skips them — so no erase is needed here.
   for (uint32_t index : word_journal_) --cache_.entry(index).count;
   word_journal_.clear();
-  for (int64_t* count : legacy_word_journal_) --*count;
-  legacy_word_journal_.clear();
   depth_ = 0;
   root_symbol_ = kInvalidSymbol;
   root_seen_ = false;
@@ -264,36 +187,22 @@ void StreamingFolder::FoldWeighted(Symbol element, const Word& word,
 }
 
 void StreamingFolder::Flush() {
-  if (!options_.legacy_dedup_cache) {
-    if (cache_.empty()) return;
-    ++dedup_flushes_;
-    obs::SchedAdd(obs::SchedCounter::kDedupFlushes, 1);
-    // Entries iterate in insertion order == first-occurrence order ==
-    // the order the DOM path first folds each distinct word, keeping SOA
-    // state numbering (and SaveState text) pinned to the DOM path.
-    for (const FlatWordCache::Entry& entry : cache_.entries()) {
-      // Zero-count entries are rolled-back first occurrences from a
-      // failed document; folding them would create an ElementSummary the
-      // DOM path never would.
-      if (entry.count <= 0) continue;
-      flush_word_.assign(entry.word, entry.word + entry.length);
-      FoldWeighted(entry.element, flush_word_, entry.count);
-      obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, 1);
-    }
-    cache_.Clear();
-    return;
-  }
-  if (legacy_cache_.empty()) return;
+  if (cache_.empty()) return;
   ++dedup_flushes_;
   obs::SchedAdd(obs::SchedCounter::kDedupFlushes, 1);
-  // First-occurrence order, matching the flat cache and the DOM path.
-  for (const WordCounts::value_type* entry : legacy_flush_order_) {
-    if (entry->second <= 0) continue;
-    FoldWeighted(entry->first.element, entry->first.word, entry->second);
+  // Entries iterate in insertion order == first-occurrence order == the
+  // order the reference fold first folds each distinct word, keeping SOA
+  // state numbering (and SaveState text) pinned to it.
+  for (const FlatWordCache::Entry& entry : cache_.entries()) {
+    // Zero-count entries are rolled-back first occurrences from a
+    // failed document; folding them would create an ElementSummary the
+    // reference fold never would.
+    if (entry.count <= 0) continue;
+    flush_word_.assign(entry.word, entry.word + entry.length);
+    FoldWeighted(entry.element, flush_word_, entry.count);
     obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, 1);
   }
-  legacy_cache_.clear();
-  legacy_flush_order_.clear();
+  cache_.Clear();
 }
 
 Status StreamingFolder::AddXml(std::string_view xml) {
@@ -305,7 +214,7 @@ Status StreamingFolder::AddXml(std::string_view xml) {
   lexer_.Reset(xml);
   Alphabet* alphabet = inferrer_->alphabet();
   // Error paths below reset the document so nothing half-folded leaks
-  // into the inferrer (dedup mode is fully transactional; see header).
+  // into the inferrer (the fold is transactional; see header).
   auto fail = [&](std::string message) {
     ResetDocument();
     obs::CounterAdd(obs::Counter::kDocumentsFailed, 1);
@@ -340,7 +249,7 @@ Status StreamingFolder::AddXml(std::string_view xml) {
         break;
       case SaxEventKind::kText:
         if (depth_ == 0) {
-          if (lenient) break;  // dropped, as the DOM recovery does
+          if (lenient) break;  // dropped, as ParseXmlLenient does
           return fail("character data outside the root element at offset " +
                       std::to_string(event.offset));
         }
@@ -348,13 +257,18 @@ Status StreamingFolder::AddXml(std::string_view xml) {
         break;
       case SaxEventKind::kStartElement: {
         if (depth_ == 0 && root_seen_) {
-          // Matching the DOM paths: strict rejects a second root; lenient
-          // drops content after the root without interning its name.
+          // Matching the DOM parser: strict rejects a second root;
+          // lenient drops content after the root without interning its
+          // name.
           if (!lenient) {
             return fail("multiple root elements (<" +
                         std::string(event.name) + ">)");
           }
           break;
+        }
+        if (!event.self_closing && depth_ >= kMaxElementDepth) {
+          return fail("element nesting deeper than " +
+                      std::to_string(kMaxElementDepth));
         }
         Symbol symbol = alphabet->Intern(event.name);
         if (depth_ == 0) {
@@ -364,7 +278,7 @@ Status StreamingFolder::AddXml(std::string_view xml) {
           Frame& parent = stack_[depth_ - 1];
           parent.word.push_back(symbol);
           parent.word_hash = WordHash::Step(parent.word_hash, symbol);
-          if (options_.dedup_words && !store_->SeenAsChild(symbol)) {
+          if (!store_->SeenAsChild(symbol)) {
             doc_new_children_.push_back(symbol);
           }
         }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "alphabet/alphabet.h"
@@ -17,63 +16,49 @@
 
 namespace condtd {
 
-/// Streaming fold driver: parses XML with the zero-copy `SaxLexer` and
-/// folds each element the moment its end tag is seen into the owning
-/// `DtdInferrer`'s SummaryStore — no `XmlElement` tree, no per-node
+/// Streaming fold driver — the one way documents fold into a
+/// `DtdInferrer`. It parses XML with the zero-copy `SaxLexer` and folds
+/// each element the moment its end tag is seen into the owning
+/// inferrer's SummaryStore — no `XmlElement` tree, no per-node
 /// allocation. An explicit stack of open frames accumulates each
 /// element's child-`Symbol` word (names interned directly into the
-/// inferrer's alphabet, in start-tag order — the same order the DOM path
-/// interns in, which is what keeps the two paths byte-identical);
-/// attribute and text handling is reduced to the counts and capped
-/// samples the summaries actually retain. Strict or tag-soup-lenient
-/// parsing follows the inferrer's `lenient_xml` option.
+/// inferrer's alphabet, in start-tag order); attribute and text handling
+/// is reduced to the counts and capped samples the summaries actually
+/// retain. Strict or tag-soup-lenient parsing follows the inferrer's
+/// `lenient_xml` option, with the DOM parser's error messages and its
+/// `kMaxElementDepth` nesting cap.
 ///
-/// Word-multiset deduplication (`Options::dedup_words`, on by default):
-/// real corpora repeat the same child sequence thousands of times, so
-/// completed words are hash-consed into a multiplicity cache and applied
-/// as weighted folds (`ElementSummary::AddChildWord` with a count)
-/// instead of being replayed — `Flush()` (idempotent, also run by the
-/// destructor) drains the cache, and must happen before the inferrer's
-/// summaries are read. The weighted folds are exact, so flush timing
-/// never changes the inferred DTD.
+/// Word-multiset deduplication: real corpora repeat the same child
+/// sequence thousands of times, so completed words are hash-consed into
+/// a multiplicity cache and applied as weighted folds
+/// (`ElementSummary::AddChildWord` with a count) instead of being
+/// replayed — `Flush()` (idempotent, also run by the destructor) drains
+/// the cache, and must happen before the inferrer's summaries are read.
+/// The weighted folds are exact, so flush timing never changes the
+/// inferred DTD. The cache is a `FlatWordCache` (open addressing,
+/// arena-backed keys); each open frame carries a running `WordHash`
+/// updated as child symbols append, so the end-tag commit is a single
+/// table probe with no full-word rehash.
 ///
-/// The dedup cache is a `FlatWordCache` (open addressing, arena-backed
-/// keys); each open frame carries a running `WordHash` updated as child
-/// symbols append, so the end-tag commit is a single table probe with no
-/// full-word rehash. The previous `std::unordered_map` cache is retained
-/// for one release as a differential oracle behind
-/// `Options::legacy_dedup_cache` / the `CONDTD_LEGACY_DEDUP` environment
-/// variable; both produce byte-identical DTDs and SaveState text.
+/// Document transactionality: a document that fails to parse
+/// contributes nothing to the summaries; only alphabet interning of
+/// names seen before the error persists, which cannot affect any
+/// all-clean corpus.
 ///
-/// Document transactionality: with dedup on, a document that fails to
-/// parse contributes nothing to the summaries (matching the DOM path's
-/// parse-then-fold behavior); only alphabet interning of names seen
-/// before the error persists, which cannot affect any all-clean corpus.
-/// With dedup off, words fold eagerly per end tag, so a failed document
-/// may leave its completed elements behind — that mode exists for
-/// benchmarking the dedup contribution.
-///
-/// Text-sample caveat (same as ParallelDtdInferrer's): which capped text
-/// snippets are retained can differ from the DOM path (samples are taken
-/// in end-tag rather than start-tag order), so XSD datatype picks may
-/// differ on heterogeneous text; the inferred DTD never does.
+/// Byte identity: text samples are taken at each element's end tag and
+/// cache entries flush in first-occurrence order, so the SaveState text
+/// equals that of the reference DOM-walk fold in src/check/ — the
+/// ingestion oracle checks it byte for byte. Only ParallelDtdInferrer's
+/// shards differ: each keeps its own first `max_text_samples` samples,
+/// so their merged SaveState (never the DTD) can differ on
+/// heterogeneous text.
 class StreamingFolder {
  public:
   struct Options {
-    /// Hash-cons completed words and fold them weighted at Flush().
-    bool dedup_words = true;
     /// Flush the dedup cache early when it holds this many distinct
     /// (element, word) pairs — bounds memory on adversarial corpora
     /// where words never repeat.
     size_t max_distinct_words = 1u << 20;
-    /// Use the pre-rebuild `std::unordered_map` dedup cache instead of
-    /// the flat table. Kept one release as the differential oracle; also
-    /// enabled by setting `CONDTD_LEGACY_DEDUP` in the environment.
-    bool legacy_dedup_cache = false;
-    /// Take `legacy_dedup_cache` as-is and ignore CONDTD_LEGACY_DEDUP.
-    /// The differential oracle pins each cache explicitly and must not
-    /// have the environment flip its flat run to legacy.
-    bool ignore_dedup_env = false;
   };
 
   explicit StreamingFolder(DtdInferrer* inferrer);
@@ -85,7 +70,7 @@ class StreamingFolder {
 
   /// Parses and folds one document (strict or lenient per the owning
   /// inferrer's options). On error the document's summaries are
-  /// discarded (see class comment for the dedup-off caveat).
+  /// discarded.
   Status AddXml(std::string_view xml);
 
   /// Applies all cached weighted folds to the summaries. Idempotent.
@@ -106,20 +91,13 @@ class StreamingFolder {
   int64_t words_folded() const { return words_folded_; }
   int64_t weighted_folds_applied() const { return weighted_folds_; }
   int64_t distinct_words_cached() const {
-    return options_.legacy_dedup_cache
-               ? static_cast<int64_t>(legacy_cache_.size())
-               : static_cast<int64_t>(cache_.size());
+    return static_cast<int64_t>(cache_.size());
   }
   int64_t dedup_hits() const { return dedup_hits_; }
   int64_t dedup_misses() const { return dedup_misses_; }
   int64_t dedup_flushes() const { return dedup_flushes_; }
   /// Bytes resident in the dedup cache (keys + arena blocks + table).
-  /// The legacy-map figure is a structural estimate (node and bucket
-  /// overhead plus key payload); the flat-cache figure is exact.
-  size_t cache_bytes_resident() const;
-  /// True when this folder runs the legacy unordered_map oracle cache
-  /// (via Options or CONDTD_LEGACY_DEDUP).
-  bool using_legacy_cache() const { return options_.legacy_dedup_cache; }
+  size_t cache_bytes_resident() const { return cache_.bytes_resident(); }
 
  private:
   /// An open element: accumulates the child word — and, incrementally,
@@ -154,59 +132,15 @@ class StreamingFolder {
     uint32_t attr_count = 0;
   };
 
-  // ---- Legacy oracle cache (CONDTD_LEGACY_DEDUP; one release) -------
-  struct WordKey {
-    Symbol element;
-    Word word;
-  };
-  /// Borrowed key for heterogeneous lookup (no Word copy per probe).
-  struct WordKeyRef {
-    Symbol element;
-    const Word* word;
-  };
-  struct WordKeyHash {
-    using is_transparent = void;
-    static size_t Mix(Symbol element, const Word& word) {
-      return WordHash::Mix(element, word.data(), word.size());
-    }
-    size_t operator()(const WordKey& key) const {
-      return Mix(key.element, key.word);
-    }
-    size_t operator()(const WordKeyRef& key) const {
-      return Mix(key.element, *key.word);
-    }
-  };
-  struct WordKeyEq {
-    using is_transparent = void;
-    bool operator()(const WordKey& a, const WordKey& b) const {
-      return a.element == b.element && a.word == b.word;
-    }
-    bool operator()(const WordKeyRef& a, const WordKey& b) const {
-      return a.element == b.element && *a.word == b.word;
-    }
-    bool operator()(const WordKey& a, const WordKeyRef& b) const {
-      return a.element == b.element && a.word == *b.word;
-    }
-  };
-  using WordCounts =
-      std::unordered_map<WordKey, int64_t, WordKeyHash, WordKeyEq>;
-  /// Legacy-cache entries in first-occurrence order (map nodes are
-  /// pointer-stable). The map alone iterates in hash order, which would
-  /// fold flushed words in a different order than the flat cache and the
-  /// DOM path — the DTD would still match, but SaveState (SOA state
-  /// insertion order) would not, and the whole point of keeping the
-  /// legacy cache is byte-level differential comparison.
-  std::vector<const WordCounts::value_type*> legacy_flush_order_;
-
   /// Dense symbol-indexed cache of store entries, lazily filled — the
   /// fold hot path does one per-occurrence lookup here instead of a
   /// `std::map` search. Returns null while the element has no summary
-  /// yet (Find never creates one: dedup-mode transactionality requires
-  /// that a failed document leaves the store untouched). Map nodes are
+  /// yet (Find never creates one: transactionality requires that a
+  /// failed document leaves the store untouched). Map nodes are
   /// pointer-stable, so cached entries stay valid across inserts.
   ElementSummary* FindState(Symbol symbol);
-  /// As FindState but creates (and caches) the entry — commit/eager
-  /// paths only.
+  /// As FindState but creates (and caches) the entry — commit and
+  /// flush only.
   ElementSummary& EnsureState(Symbol symbol);
 
   Frame& PushFrame(Symbol symbol);
@@ -249,14 +183,12 @@ class StreamingFolder {
   std::vector<Symbol> doc_touched_;
   std::vector<SampleRecord> doc_sample_records_;
   std::vector<AttrRecord> doc_attr_records_;
-  /// One entry per word folded this document. Flat cache: the stable
-  /// entry index whose count it incremented. Legacy cache: a pointer to
-  /// the unordered_map value (map nodes are pointer-stable). Cleared on
-  /// commit; decremented back on parse failure — a rolled-back first
-  /// occurrence leaves a zero-count cache entry behind, which Flush()
-  /// skips (and which a later clean document can reuse).
+  /// One entry per word folded this document: the stable cache entry
+  /// index whose count it incremented. Cleared on commit; decremented
+  /// back on parse failure — a rolled-back first occurrence leaves a
+  /// zero-count cache entry behind, which Flush() skips (and which a
+  /// later clean document can reuse).
   std::vector<uint32_t> word_journal_;
-  std::vector<int64_t*> legacy_word_journal_;
   /// Child symbols first observed this document; the store's
   /// seen-as-child marks are applied only on commit.
   std::vector<Symbol> doc_new_children_;
@@ -265,7 +197,6 @@ class StreamingFolder {
   // the frame's incrementally built hash (one table probe per
   // occurrence, no rehash, no per-document staging map).
   FlatWordCache cache_;
-  WordCounts legacy_cache_;  ///< oracle; see Options::legacy_dedup_cache
   std::vector<ElementSummary*> state_cache_;
   /// Scratch for Flush(): materializes each flat-cache entry's word once
   /// per flush without reallocating.

@@ -59,7 +59,8 @@ struct ElementSummary {
   /// disjunction-per-string construction cannot run off the SOA/CRX
   /// summaries). Sorted storage makes the reservoir — and therefore
   /// SaveState output and the learner's sample order — independent of
-  /// fold order, so DOM, streaming and sharded ingestion agree.
+  /// fold order, so the streaming fold, the sharded pipeline and the
+  /// reference fold in src/check/ agree.
   std::set<Word> retained_words;
   /// A distinct word was dropped because the reservoir was full. Word
   /// learners fail with kResourceExhausted rather than learn from a

@@ -15,9 +15,7 @@ namespace condtd {
 /// element frame seeds with its element symbol and steps once per child
 /// appended, so the hash of the completed (element, word) key is ready
 /// the moment the end tag is seen — the commit probe never re-walks the
-/// word. The mix is the same FNV-flavored fold the legacy
-/// `std::unordered_map` cache used, kept bit-for-bit so the two cache
-/// implementations can be differentially tested against each other.
+/// word. The mix is an FNV-flavored fold.
 struct WordHash {
   static uint64_t Seed(Symbol element) {
     return 0xcbf29ce484222325ull ^ static_cast<uint64_t>(element);
@@ -26,8 +24,8 @@ struct WordHash {
     return h ^ (static_cast<uint64_t>(symbol) + 0x9e3779b97f4a7c15ull +
                 (h << 6) + (h >> 2));
   }
-  /// Whole-key hash: Seed folded over the word. Only cold paths (tests,
-  /// the legacy cache, rollback verification) should need this.
+  /// Whole-key hash: Seed folded over the word. Only cold paths (tests)
+  /// should need this.
   static uint64_t Mix(Symbol element, const Symbol* word, size_t length) {
     uint64_t h = Seed(element);
     for (size_t i = 0; i < length; ++i) h = Step(h, word[i]);
@@ -121,9 +119,9 @@ class FlatWordCache {
   const Entry& entry(uint32_t index) const { return entries_[index]; }
 
   /// Entries in insertion order — which is first-occurrence order across
-  /// the corpus, the same order the DOM path first folds each distinct
-  /// word in. Flushing in this order keeps the SOA state numbering (and
-  /// therefore SaveState output) aligned with the DOM path.
+  /// the corpus, the same order the reference fold in src/check/ first
+  /// folds each distinct word in. Flushing in this order keeps the SOA
+  /// state numbering (and therefore SaveState output) aligned with it.
   const std::vector<Entry>& entries() const { return entries_; }
 
   size_t size() const { return entries_.size(); }

@@ -1,38 +1,56 @@
 #include "xml/parser.h"
-#include <string>
 
+#include <string>
 #include <vector>
 
-#include "xml/lexer.h"
+#include "xml/sax.h"
 
 namespace condtd {
 
 namespace {
 
-// Element trees are destroyed recursively, so the parser bounds nesting
-// up front. The cap is far above real documents (and the depth-2000
-// edge-case tests) but small enough that the destructor recursion a
-// hostile input can force stays well inside the stack.
-constexpr size_t kMaxElementDepth = 10000;
+/// Starts `element` below `stack.back()` (or as the root) with the
+/// lexer's current attributes, and opens it unless it is self-closing.
+/// Nesting past kMaxElementDepth fails: element trees are destroyed
+/// recursively, so the cap is what bounds the destructor's stack depth.
+Status OpenElement(const SaxEvent& event, const SaxLexer& lexer,
+                   XmlDocument* doc, std::vector<XmlElement*>* stack) {
+  XmlElement* element;
+  if (stack->empty()) {
+    doc->root = std::make_unique<XmlElement>(std::string(event.name));
+    element = doc->root.get();
+  } else {
+    element = stack->back()->AddChild(std::string(event.name));
+  }
+  for (const SaxAttribute& attr : lexer.attributes()) {
+    element->AddAttribute(std::string(attr.key), std::string(attr.value));
+  }
+  if (event.self_closing) return Status::OK();
+  if (stack->size() >= kMaxElementDepth) {
+    return Status::ParseError("element nesting deeper than " +
+                              std::to_string(kMaxElementDepth));
+  }
+  stack->push_back(element);
+  return Status::OK();
+}
 
 }  // namespace
 
 Result<XmlDocument> ParseXmlLenient(
     std::string_view input, std::vector<std::string>* recovered_errors) {
-  XmlLexer lexer(input);
+  SaxLexer lexer(input);
   XmlDocument doc;
   std::vector<XmlElement*> stack;
-  bool root_done = false;
   auto note = [&](const std::string& message) {
     if (recovered_errors != nullptr) recovered_errors->push_back(message);
   };
 
   while (true) {
-    Result<XmlToken> next = lexer.Next();
+    Result<SaxEvent> next = lexer.Next();
     if (!next.ok()) return next.status();  // lexical errors still fail
-    const XmlToken& token = next.value();
-    switch (token.kind) {
-      case XmlTokenKind::kEof:
+    const SaxEvent& event = next.value();
+    switch (event.kind) {
+      case SaxEventKind::kEof:
         if (!stack.empty()) {
           note("closed " + std::to_string(stack.size()) +
                " unclosed element(s) at end of input");
@@ -42,61 +60,48 @@ Result<XmlDocument> ParseXmlLenient(
           return Status::ParseError("document has no root element");
         }
         return doc;
-      case XmlTokenKind::kDoctype:
-        if (doc.root == nullptr) doc.doctype = token.text;
+      case SaxEventKind::kDoctype:
+        if (doc.root == nullptr) doc.doctype = std::string(event.text);
         break;
-      case XmlTokenKind::kText:
+      case SaxEventKind::kText:
         if (!stack.empty()) {
-          stack.back()->AppendText(token.text);
+          stack.back()->AppendText(event.text);
         } else {
           note("dropped character data outside the root element");
         }
         break;
-      case XmlTokenKind::kStartTag: {
-        if (stack.empty() && root_done) {
-          note("dropped content after the root element (<" + token.name +
-               ">)");
-          // Consume the subtree by tracking nesting without building it:
-          // simplest recovery — skip just this tag.
+      case SaxEventKind::kStartElement:
+        if (stack.empty() && doc.root != nullptr) {
+          // Simplest recovery: drop just this tag. Its children land
+          // here too (the stack stays empty), so the whole trailing
+          // subtree is dropped tag by tag.
+          note("dropped content after the root element (<" +
+               std::string(event.name) + ">)");
           break;
         }
-        XmlElement* element;
-        if (stack.empty()) {
-          doc.root = std::make_unique<XmlElement>(token.name);
-          element = doc.root.get();
-          root_done = true;
-        } else {
-          element = stack.back()->AddChild(token.name);
-        }
-        for (const auto& [k, v] : token.attributes) {
-          element->AddAttribute(k, v);
-        }
-        if (!token.self_closing) {
-          if (stack.size() >= kMaxElementDepth) {
-            return Status::ParseError("element nesting deeper than " +
-                                      std::to_string(kMaxElementDepth));
-          }
-          stack.push_back(element);
+        if (Status opened = OpenElement(event, lexer, &doc, &stack);
+            !opened.ok()) {
+          return opened;
         }
         break;
-      }
-      case XmlTokenKind::kEndTag: {
+      case SaxEventKind::kEndElement: {
         // Find the nearest open element with this name.
         int match = -1;
         for (int i = static_cast<int>(stack.size()) - 1; i >= 0; --i) {
-          if (stack[i]->name() == token.name) {
+          if (stack[i]->name() == event.name) {
             match = i;
             break;
           }
         }
         if (match < 0) {
-          note("dropped stray closing tag </" + token.name + ">");
+          note("dropped stray closing tag </" + std::string(event.name) +
+               ">");
           break;
         }
         if (match + 1 != static_cast<int>(stack.size())) {
           note("auto-closed " +
                std::to_string(stack.size() - match - 1) +
-               " element(s) at </" + token.name + ">");
+               " element(s) at </" + std::string(event.name) + ">");
         }
         stack.resize(match);
         break;
@@ -106,16 +111,16 @@ Result<XmlDocument> ParseXmlLenient(
 }
 
 Result<XmlDocument> ParseXml(std::string_view input) {
-  XmlLexer lexer(input);
+  SaxLexer lexer(input);
   XmlDocument doc;
   std::vector<XmlElement*> stack;
 
   while (true) {
-    Result<XmlToken> next = lexer.Next();
+    Result<SaxEvent> next = lexer.Next();
     if (!next.ok()) return next.status();
-    const XmlToken& token = next.value();
-    switch (token.kind) {
-      case XmlTokenKind::kEof:
+    const SaxEvent& event = next.value();
+    switch (event.kind) {
+      case SaxEventKind::kEof:
         if (!stack.empty()) {
           return Status::ParseError("unexpected end of document inside <" +
                                     stack.back()->name() + ">");
@@ -124,52 +129,39 @@ Result<XmlDocument> ParseXml(std::string_view input) {
           return Status::ParseError("document has no root element");
         }
         return doc;
-      case XmlTokenKind::kDoctype:
+      case SaxEventKind::kDoctype:
         if (doc.root != nullptr || !stack.empty()) {
           return Status::ParseError("DOCTYPE after the root element");
         }
-        doc.doctype = token.text;
+        doc.doctype = std::string(event.text);
         break;
-      case XmlTokenKind::kText:
+      case SaxEventKind::kText:
         if (stack.empty()) {
           return Status::ParseError(
               "character data outside the root element at offset " +
-              std::to_string(token.offset));
+              std::to_string(event.offset));
         }
-        stack.back()->AppendText(token.text);
+        stack.back()->AppendText(event.text);
         break;
-      case XmlTokenKind::kStartTag: {
-        XmlElement* element;
-        if (stack.empty()) {
-          if (doc.root != nullptr) {
-            return Status::ParseError("multiple root elements (<" +
-                                      token.name + ">)");
-          }
-          doc.root = std::make_unique<XmlElement>(token.name);
-          element = doc.root.get();
-        } else {
-          element = stack.back()->AddChild(token.name);
+      case SaxEventKind::kStartElement:
+        if (stack.empty() && doc.root != nullptr) {
+          return Status::ParseError("multiple root elements (<" +
+                                    std::string(event.name) + ">)");
         }
-        for (const auto& [k, v] : token.attributes) {
-          element->AddAttribute(k, v);
-        }
-        if (!token.self_closing) {
-          if (stack.size() >= kMaxElementDepth) {
-            return Status::ParseError("element nesting deeper than " +
-                                      std::to_string(kMaxElementDepth));
-          }
-          stack.push_back(element);
+        if (Status opened = OpenElement(event, lexer, &doc, &stack);
+            !opened.ok()) {
+          return opened;
         }
         break;
-      }
-      case XmlTokenKind::kEndTag:
+      case SaxEventKind::kEndElement:
         if (stack.empty()) {
-          return Status::ParseError("stray closing tag </" + token.name +
-                                    ">");
+          return Status::ParseError("stray closing tag </" +
+                                    std::string(event.name) + ">");
         }
-        if (stack.back()->name() != token.name) {
+        if (stack.back()->name() != event.name) {
           return Status::ParseError("mismatched closing tag </" +
-                                    token.name + ">; expected </" +
+                                    std::string(event.name) +
+                                    ">; expected </" +
                                     stack.back()->name() + ">");
         }
         stack.pop_back();

@@ -1,9 +1,10 @@
 #include "xml/sax.h"
 
+#include <cstdint>
+
 #include "base/strings.h"
 #include "base/swar.h"
 #include "obs/metrics.h"
-#include "xml/lexer.h"
 
 namespace condtd {
 
@@ -15,6 +16,110 @@ namespace {
 inline bool IsNameStartChar(char c) { return swar::IsNameStart(c); }
 
 }  // namespace
+
+Status DecodeXmlEntities(std::string_view raw, std::string* out) {
+  // Fast path: entity-free runs (the overwhelmingly common case for
+  // both character data and attribute values) bulk-append instead of
+  // copying byte by byte. The '&' scan is word-at-a-time (swar::FindAmp)
+  // and each named entity resolves with one unaligned load + masked
+  // compare (swar::MatchNamedEntity) instead of a find(';') plus up to
+  // five string comparisons.
+  size_t first_amp = swar::FindAmp(raw, 0);
+  if (first_amp == swar::kNpos) {
+    out->append(raw);
+    return Status::OK();
+  }
+  out->reserve(out->size() + raw.size());
+  out->append(raw.substr(0, first_amp));
+  for (size_t i = first_amp; i < raw.size();) {
+    if (raw[i] != '&') {
+      size_t amp = swar::FindAmp(raw, i);
+      if (amp == swar::kNpos) amp = raw.size();
+      out->append(raw.substr(i, amp - i));
+      i = amp;
+      continue;
+    }
+    swar::EntityMatch named = swar::MatchNamedEntity(raw, i);
+    if (named.length != 0) {
+      *out += named.replacement;
+      i += named.length;
+      continue;
+    }
+    // Slow path: numeric references, unknown entities, malformed input.
+    // MatchNamedEntity is exhaustive over the five named forms, so the
+    // body between '&' and ';' here is never one of them.
+    size_t end = swar::FindByte(raw, i, ';');
+    if (end == swar::kNpos) {
+      return Status::ParseError("unterminated entity reference");
+    }
+    std::string_view entity = raw.substr(i + 1, end - i - 1);
+    if (!entity.empty() && entity[0] == '#') {
+      // Numeric character reference. The accumulator is 64-bit with an
+      // early range bail-out so adversarial digit strings
+      // (&#99999999999999999999;) cannot overflow into undefined
+      // behavior, and the digit loop must consume at least one digit
+      // (&#; and &#x; are malformed).
+      int64_t code = 0;
+      bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
+      size_t digit_start = hex ? 2 : 1;
+      if (digit_start >= entity.size()) {
+        return Status::ParseError("bad character reference &" +
+                                  std::string(entity) + ";");
+      }
+      for (size_t j = digit_start; j < entity.size(); ++j) {
+        char c = entity[j];
+        int digit;
+        if (c >= '0' && c <= '9') {
+          digit = c - '0';
+        } else if (hex && c >= 'a' && c <= 'f') {
+          digit = c - 'a' + 10;
+        } else if (hex && c >= 'A' && c <= 'F') {
+          digit = c - 'A' + 10;
+        } else {
+          return Status::ParseError("bad character reference &" +
+                                    std::string(entity) + ";");
+        }
+        code = code * (hex ? 16 : 10) + digit;
+        if (code > 0x10FFFF) {
+          return Status::ParseError("character reference &" +
+                                    std::string(entity) +
+                                    "; is out of range");
+        }
+      }
+      // Reject code points XML forbids: NUL, the UTF-16 surrogate block
+      // (not scalar values; encoding them would produce CESU-8 garbage).
+      if (code == 0 || (code >= 0xD800 && code <= 0xDFFF)) {
+        return Status::ParseError("character reference &" +
+                                  std::string(entity) +
+                                  "; is not a valid XML character");
+      }
+      // Encode as UTF-8 (1-4 bytes).
+      if (code < 0x80) {
+        *out += static_cast<char>(code);
+      } else if (code < 0x800) {
+        *out += static_cast<char>(0xC0 | (code >> 6));
+        *out += static_cast<char>(0x80 | (code & 0x3F));
+      } else if (code < 0x10000) {
+        *out += static_cast<char>(0xE0 | (code >> 12));
+        *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        *out += static_cast<char>(0x80 | (code & 0x3F));
+      } else {
+        *out += static_cast<char>(0xF0 | (code >> 18));
+        *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+        *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        *out += static_cast<char>(0x80 | (code & 0x3F));
+      }
+    } else {
+      // Unknown entity (e.g. from an unresolved DTD): keep verbatim so
+      // noisy real-world data does not abort parsing.
+      *out += '&';
+      *out += entity;
+      *out += ';';
+    }
+    i = end + 1;
+  }
+  return Status::OK();
+}
 
 Result<SaxEvent> SaxLexer::Next() {
   while (pos_ < input_.size()) {

@@ -44,14 +44,30 @@ struct SaxEvent {
   size_t offset = 0;  ///< byte offset for error messages
 };
 
-/// Streaming (SAX-style) pull lexer over an in-memory XML document:
-/// the zero-copy sibling of `XmlLexer`. Grammar and permissiveness are
-/// identical (tags, single/double-quoted attributes, comments, PIs,
-/// CDATA, DOCTYPE with internal subset, predefined + numeric entities,
-/// valueless attributes), but names, attribute values and entity-free
-/// text are returned as views into the raw buffer — nothing is copied
-/// unless an entity must be decoded, and the decode scratch is reused
-/// across events so a whole document lexes with O(1) allocations.
+/// Deepest element nesting a document may have. Self-closing elements
+/// do not count. Both consumers of `SaxLexer` events enforce it with the
+/// same message ("element nesting deeper than 10000"): the DOM parser
+/// because element trees are destroyed recursively, the streaming fold
+/// because each open element holds a frame. The cap is far above real
+/// documents but keeps a hostile input from forcing unbounded stack
+/// depth or memory.
+inline constexpr size_t kMaxElementDepth = 10000;
+
+/// Appends `raw` to `out` with the predefined (&amp; &lt; &gt; &apos;
+/// &quot;) and numeric character entities decoded; unknown entities are
+/// kept verbatim so noisy real-world data does not abort parsing.
+/// Entity-free input takes a bulk-append fast path (no per-byte loop).
+Status DecodeXmlEntities(std::string_view raw, std::string* out);
+
+/// Streaming (SAX-style) pull lexer over an in-memory XML document: the
+/// one XML tokenizer. Both the DOM parser (xml/parser.h) and the
+/// streaming fold (infer/streaming.h) read its events. It handles tags,
+/// single/double-quoted attributes, comments, PIs, CDATA, DOCTYPE with
+/// internal subset, predefined + numeric entities and valueless
+/// attributes. Names, attribute values and entity-free text are
+/// returned as views into the raw buffer — nothing is copied unless an
+/// entity must be decoded, and the decode scratch is reused across
+/// events so a whole document lexes with O(1) allocations.
 class SaxLexer {
  public:
   SaxLexer() = default;

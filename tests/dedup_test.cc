@@ -1,8 +1,8 @@
-// Differential tests for the fold-path rebuild: the flat open-addressing
-// word cache (FlatWordCache + incremental WordHash) against the legacy
-// std::unordered_map oracle it replaced (kept one release behind
-// Options::legacy_dedup_cache / CONDTD_LEGACY_DEDUP), and the dense fold
-// kernels against the generic map-based paths they shortcut.
+// Differential tests for the fold path: the streaming fold's flat
+// open-addressing word cache (FlatWordCache + incremental WordHash)
+// against the reference fold in src/check/ (one word at a time, no
+// cache), and the dense fold kernels against the generic map-based
+// paths they shortcut.
 //
 // The load-bearing assertions compare SaveState text, not just the
 // inferred DTD — SaveState exposes SOA state insertion order, every
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "automaton/two_t_inf.h"
 #include "base/fold_scratch.h"
 #include "base/rng.h"
+#include "check/reference_fold.h"
 #include "crx/crx.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
@@ -226,7 +226,7 @@ TEST(DenseFoldKernel, MatchesGenericPathAcrossWordShapes) {
   }
 }
 
-// --- flat vs legacy cache, end to end --------------------------------------
+// --- flat cache vs the reference fold, end to end --------------------------
 
 std::vector<std::string> GenerateCorpus(int count, uint64_t seed) {
   Alphabet alphabet;
@@ -269,7 +269,6 @@ FoldRun RunFold(const std::vector<std::string>& documents,
                 const std::vector<std::string>& broken,
                 StreamingFolder::Options folder_options) {
   FoldRun run;
-  folder_options.ignore_dedup_env = true;  // each run pins its cache
   DtdInferrer inferrer;
   {
     StreamingFolder folder(&inferrer, folder_options);
@@ -290,33 +289,27 @@ FoldRun RunFold(const std::vector<std::string>& documents,
   return run;
 }
 
-TEST(DedupDifferential, FlatAndLegacyCachesAreByteIdentical) {
-  std::vector<std::string> documents = GenerateCorpus(40, 123);
-  StreamingFolder::Options flat;
-  StreamingFolder::Options legacy;
-  legacy.legacy_dedup_cache = true;
-  FoldRun flat_run = RunFold(documents, {}, flat);
-  FoldRun legacy_run = RunFold(documents, {}, legacy);
-  EXPECT_EQ(flat_run.dtd, legacy_run.dtd);
-  EXPECT_EQ(flat_run.state, legacy_run.state);
-  // Both caches key on the same (element, word) pairs, so the hit/miss
-  // split must agree exactly, not just the DTD.
-  EXPECT_EQ(flat_run.hits, legacy_run.hits);
-  EXPECT_EQ(flat_run.misses, legacy_run.misses);
-  EXPECT_GT(flat_run.hits, 0);
+/// The reference fold's DTD and SaveState over `documents`.
+FoldRun RunReferenceFold(const std::vector<std::string>& documents) {
+  FoldRun run;
+  DtdInferrer inferrer;
+  for (const std::string& doc : documents) {
+    EXPECT_TRUE(ReferenceFoldXml(doc, &inferrer).ok());
+  }
+  Result<Dtd> dtd = inferrer.InferDtd();
+  EXPECT_TRUE(dtd.ok());
+  if (dtd.ok()) run.dtd = WriteDtd(dtd.value(), *inferrer.alphabet());
+  run.state = inferrer.SaveState();
+  return run;
 }
 
-TEST(DedupDifferential, MatchesDomPath) {
-  std::vector<std::string> documents = GenerateCorpus(25, 77);
-  DtdInferrer dom;
-  for (const std::string& doc : documents) {
-    ASSERT_TRUE(dom.AddXml(doc).ok());
-  }
-  Result<Dtd> dom_dtd = dom.InferDtd();
-  ASSERT_TRUE(dom_dtd.ok());
+TEST(DedupDifferential, MatchesReferenceFold) {
+  std::vector<std::string> documents = GenerateCorpus(40, 123);
   FoldRun flat_run = RunFold(documents, {}, {});
-  EXPECT_EQ(flat_run.dtd, WriteDtd(dom_dtd.value(), *dom.alphabet()));
-  EXPECT_EQ(flat_run.state, dom.SaveState());
+  FoldRun reference = RunReferenceFold(documents);
+  EXPECT_EQ(flat_run.dtd, reference.dtd);
+  EXPECT_EQ(flat_run.state, reference.state);
+  EXPECT_GT(flat_run.hits, 0);
 }
 
 TEST(DedupDifferential, RejectedDocumentsLeaveNoResidue) {
@@ -327,52 +320,40 @@ TEST(DedupDifferential, RejectedDocumentsLeaveNoResidue) {
     // dangling '<' — always a parse error, deep enough that completed
     // elements have hit the cache, and introducing no words the clean
     // document did not already insert (a rolled-back novel word would
-    // legitimately shift flush order; see CheckDedupCacheEquivalence).
+    // legitimately shift flush order; see CheckIngestionEquivalence).
     broken.push_back(d % 2 == 0 ? documents[d].substr(
                                       0, documents[d].size() / 2) + "<"
                                 : std::string());
   }
-  for (bool legacy : {false, true}) {
-    StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    FoldRun with_broken = RunFold(documents, broken, options);
-    FoldRun clean_only = RunFold(documents, {}, options);
-    EXPECT_EQ(with_broken.dtd, clean_only.dtd)
-        << (legacy ? "legacy" : "flat") << " cache leaked rollback state";
-    EXPECT_EQ(with_broken.state, clean_only.state)
-        << (legacy ? "legacy" : "flat") << " cache leaked rollback state";
-  }
+  FoldRun with_broken = RunFold(documents, broken, {});
+  FoldRun clean_only = RunFold(documents, {}, {});
+  EXPECT_EQ(with_broken.dtd, clean_only.dtd);
+  EXPECT_EQ(with_broken.state, clean_only.state);
 }
 
 TEST(DedupDifferential, AbortDocumentMatchesParseFailure) {
   std::vector<std::string> documents = GenerateCorpus(10, 789);
-  for (bool legacy : {false, true}) {
-    StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    options.ignore_dedup_env = true;
-
-    DtdInferrer aborted;
-    {
-      StreamingFolder folder(&aborted, options);
-      ASSERT_TRUE(folder.AddXml(documents[0]).ok());
-      // Feed a clean document, then abort from the outside the way the
-      // parallel worker pool does after containing an exception.
-      ASSERT_TRUE(folder.AddXml(documents[1]).ok());
-      folder.AbortDocument();  // no document in flight: must be a no-op
-      for (size_t d = 2; d < documents.size(); ++d) {
-        ASSERT_TRUE(folder.AddXml(documents[d]).ok());
-      }
+  DtdInferrer aborted;
+  {
+    StreamingFolder folder(&aborted);
+    ASSERT_TRUE(folder.AddXml(documents[0]).ok());
+    // Feed a clean document, then abort from the outside the way the
+    // parallel worker pool does after containing an exception.
+    ASSERT_TRUE(folder.AddXml(documents[1]).ok());
+    folder.AbortDocument();  // no document in flight: must be a no-op
+    for (size_t d = 2; d < documents.size(); ++d) {
+      ASSERT_TRUE(folder.AddXml(documents[d]).ok());
     }
-
-    DtdInferrer plain;
-    {
-      StreamingFolder folder(&plain, options);
-      for (const std::string& doc : documents) {
-        ASSERT_TRUE(folder.AddXml(doc).ok());
-      }
-    }
-    EXPECT_EQ(aborted.SaveState(), plain.SaveState());
   }
+
+  DtdInferrer plain;
+  {
+    StreamingFolder folder(&plain);
+    for (const std::string& doc : documents) {
+      ASSERT_TRUE(folder.AddXml(doc).ok());
+    }
+  }
+  EXPECT_EQ(aborted.SaveState(), plain.SaveState());
 }
 
 TEST(DedupDifferential, EarlyFlushesPreserveTheResult) {
@@ -388,28 +369,10 @@ TEST(DedupDifferential, EarlyFlushesPreserveTheResult) {
   // inferred DTD, not SOA state numbering.
 }
 
-TEST(DedupDifferential, LegacyEnvVarSelectsTheOracleCache) {
-  ASSERT_EQ(setenv("CONDTD_LEGACY_DEDUP", "1", 1), 0);
-  DtdInferrer inferrer;
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_TRUE(folder.using_legacy_cache());
-  }
-  ASSERT_EQ(setenv("CONDTD_LEGACY_DEDUP", "0", 1), 0);
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_FALSE(folder.using_legacy_cache());
-  }
-  ASSERT_EQ(unsetenv("CONDTD_LEGACY_DEDUP"), 0);
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_FALSE(folder.using_legacy_cache());
-  }
-}
-
 /// A document with more distinct element names than the dense-ID window
 /// pushes symbols onto the generic (map-based) Soa and CRX paths inside
-/// a single corpus; flat and legacy caches must still agree bit for bit.
+/// a single corpus; the streaming fold must still match the reference
+/// fold bit for bit.
 TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   std::string doc = "<r>";
   for (int i = 0; i < kDenseFoldWindow + 200; ++i) {
@@ -419,19 +382,16 @@ TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   doc += "</r>";
   // Fold only (no InferDtd — learning a 4000+-state content model is
   // not what this test measures); SaveState captures the full summary.
-  auto fold_state = [&](bool legacy) {
-    StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    options.ignore_dedup_env = true;
-    DtdInferrer inferrer;
-    {
-      StreamingFolder folder(&inferrer, options);
-      EXPECT_TRUE(folder.AddXml(doc).ok());
-      EXPECT_TRUE(folder.AddXml(doc).ok());
-    }
-    return inferrer.SaveState();
-  };
-  EXPECT_EQ(fold_state(false), fold_state(true));
+  DtdInferrer streaming;
+  {
+    StreamingFolder folder(&streaming);
+    EXPECT_TRUE(folder.AddXml(doc).ok());
+    EXPECT_TRUE(folder.AddXml(doc).ok());
+  }
+  DtdInferrer reference;
+  EXPECT_TRUE(ReferenceFoldXml(doc, &reference).ok());
+  EXPECT_TRUE(ReferenceFoldXml(doc, &reference).ok());
+  EXPECT_EQ(streaming.SaveState(), reference.SaveState());
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 // captured from the pre-refactor engine (enum-dispatched learners, the
 // summaries inlined in DtdInferrer::ElementState) and pin the unified
 // SummaryStore/LearnerRegistry engine byte-for-byte — for every built-in
-// algorithm, across the DOM, streaming and sharded ingestion paths.
+// algorithm, across the reference fold (src/check/), the streaming fold
+// and the sharded pipeline.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "check/reference_fold.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "infer/engine.h"
@@ -120,11 +122,11 @@ InferenceOptions OptionsFor(const std::string& learner) {
   return options;
 }
 
-Result<std::string> DomDtd(const std::vector<std::string>& docs,
-                           const std::string& learner) {
+Result<std::string> ReferenceDtd(const std::vector<std::string>& docs,
+                                 const std::string& learner) {
   DtdInferrer inferrer(OptionsFor(learner));
   for (const std::string& doc : docs) {
-    Status status = inferrer.AddXml(doc);
+    Status status = ReferenceFoldXml(doc, &inferrer);
     if (!status.ok()) return status;
   }
   Result<Dtd> dtd = inferrer.InferDtd();
@@ -133,12 +135,9 @@ Result<std::string> DomDtd(const std::vector<std::string>& docs,
 }
 
 Result<std::string> StreamingDtd(const std::vector<std::string>& docs,
-                                 const std::string& learner,
-                                 bool dedup_words) {
+                                 const std::string& learner) {
   DtdInferrer inferrer(OptionsFor(learner));
-  StreamingFolder::Options folder_options;
-  folder_options.dedup_words = dedup_words;
-  StreamingFolder folder(&inferrer, folder_options);
+  StreamingFolder folder(&inferrer);
   for (const std::string& doc : docs) {
     Status status = folder.AddXml(doc);
     if (!status.ok()) return status;
@@ -174,10 +173,8 @@ void ExpectEverywhere(const std::vector<std::string>& docs,
         << learner << " via " << path << ": " << got.status().ToString();
     EXPECT_EQ(got.value(), want_dtd) << learner << " via " << path;
   };
-  check(DomDtd(docs, learner), "dom");
-  check(StreamingDtd(docs, learner, /*dedup_words=*/true), "streaming");
-  check(StreamingDtd(docs, learner, /*dedup_words=*/false),
-        "streaming-eager");
+  check(ReferenceDtd(docs, learner), "reference-fold");
+  check(StreamingDtd(docs, learner), "streaming");
   for (int jobs : {1, 2, 7}) {
     check(ShardedDtd(docs, learner, jobs),
           "sharded-jobs-" + std::to_string(jobs));
@@ -218,26 +215,6 @@ TEST(Differential, CorpusBAllAlgorithmsAgree) {
   for (const std::string& learner :
        {"auto", "idtd", "crx", "isore", "sire", "rewrite"}) {
     ExpectEverywhere(CorpusB(), learner, kGoldenB);
-  }
-}
-
-// The legacy enum spellings must keep selecting the same learners.
-TEST(Differential, EnumAliasesMatchLearnerNames) {
-  const std::vector<std::pair<InferenceAlgorithm, std::string>> pairs = {
-      {InferenceAlgorithm::kAuto, "auto"},
-      {InferenceAlgorithm::kIdtd, "idtd"},
-      {InferenceAlgorithm::kCrx, "crx"},
-      {InferenceAlgorithm::kRewriteOnly, "rewrite"},
-  };
-  for (const auto& [algorithm, name] : pairs) {
-    EXPECT_EQ(LearnerNameOf(algorithm), name);
-    InferenceOptions via_enum;
-    via_enum.algorithm = algorithm;
-    DtdInferrer a(via_enum);
-    DtdInferrer b(OptionsFor(name));
-    ASSERT_NE(a.learner(), nullptr);
-    EXPECT_EQ(a.learner(), b.learner()) << name;
-    EXPECT_EQ(a.learner()->name(), name);
   }
 }
 

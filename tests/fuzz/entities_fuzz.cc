@@ -8,7 +8,7 @@
 #include <string>
 #include <string_view>
 
-#include "xml/lexer.h"
+#include "xml/sax.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > 65536) return 0;

@@ -14,7 +14,7 @@
 #include <string>
 #include <string_view>
 
-#include "xml/lexer.h"
+#include "xml/sax.h"
 
 namespace {
 

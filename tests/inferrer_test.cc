@@ -114,7 +114,7 @@ TEST(DtdInferrer, AlgorithmSelection) {
     words.push_back(scratch.WordFromChars(s));
   }
   InferenceOptions crx_options;
-  crx_options.algorithm = InferenceAlgorithm::kCrx;
+  crx_options.learner = "crx";
   DtdInferrer crx(crx_options);
   // Intern a and b first so ids line up with the scratch alphabet used
   // to build the words.
@@ -129,7 +129,7 @@ TEST(DtdInferrer, AlgorithmSelection) {
   EXPECT_EQ(ToDtdString(crx_model->regex, *crx.alphabet()), "(a | b)+");
 
   InferenceOptions idtd_options;
-  idtd_options.algorithm = InferenceAlgorithm::kIdtd;
+  idtd_options.learner = "idtd";
   DtdInferrer idtd(idtd_options);
   idtd.alphabet()->Intern("a");
   idtd.alphabet()->Intern("b");
@@ -208,7 +208,7 @@ TEST(DtdInferrer, ErrorsOnEmptyState) {
 
 TEST(DtdInferrer, NoiseThresholdCleansContentModels) {
   InferenceOptions options;
-  options.algorithm = InferenceAlgorithm::kCrx;
+  options.learner = "crx";
   options.noise_symbol_threshold = 5;
   DtdInferrer inferrer(options);
   Symbol e = inferrer.alphabet()->Intern("e");

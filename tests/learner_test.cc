@@ -214,8 +214,8 @@ TEST(XtractLearner, StreamingIngestionFeedsTheReservoir) {
   InferenceOptions options;
   options.learner = "xtract";
   DtdInferrer inferrer(options);
-  ASSERT_TRUE(inferrer.AddXmlStreaming("<r><x/><y/></r>").ok());
-  ASSERT_TRUE(inferrer.AddXmlStreaming("<r><x/><y/></r>").ok());
+  ASSERT_TRUE(inferrer.AddXml("<r><x/><y/></r>").ok());
+  ASSERT_TRUE(inferrer.AddXml("<r><x/><y/></r>").ok());
   const ElementSummary* summary =
       inferrer.summaries().Find(inferrer.alphabet()->Find("r"));
   ASSERT_NE(summary, nullptr);

@@ -292,17 +292,15 @@ TEST_F(ObsTest, TextReportNamesStagesAndLearners) {
   EXPECT_NE(text.find("auto"), std::string::npos) << text;
 }
 
-TEST_F(ObsTest, FailedDocumentsCountOnBothIngestionPaths) {
+TEST_F(ObsTest, FailedDocumentsCountPerCallAndThroughAFolder) {
   SKIP_WITHOUT_STATS();
   const std::string good = "<a><b/><b/></a>";
   const std::string bad = "<a><b></a>";
   {
     obs::ResetStats();
-    InferenceOptions options;
-    options.streaming_ingest = false;
-    DtdInferrer dom(options);  // DOM path
-    EXPECT_TRUE(dom.AddXml(good).ok());
-    EXPECT_FALSE(dom.AddXml(bad).ok());
+    DtdInferrer per_call;  // one StreamingFolder per AddXml
+    EXPECT_TRUE(per_call.AddXml(good).ok());
+    EXPECT_FALSE(per_call.AddXml(bad).ok());
     obs::StatsSnapshot snapshot = obs::SnapshotStats();
     EXPECT_EQ(snapshot.counters[static_cast<int>(
                   obs::Counter::kDocumentsIngested)],
@@ -314,7 +312,7 @@ TEST_F(ObsTest, FailedDocumentsCountOnBothIngestionPaths) {
   {
     obs::ResetStats();
     DtdInferrer inferrer;
-    StreamingFolder folder(&inferrer);  // SAX path
+    StreamingFolder folder(&inferrer);  // one folder for the corpus
     EXPECT_TRUE(folder.AddXml(good).ok());
     EXPECT_FALSE(folder.AddXml(bad).ok());
     obs::StatsSnapshot snapshot = obs::SnapshotStats();

@@ -44,6 +44,7 @@
 #include "serve/journal.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "xml/sax.h"
 
 namespace condtd {
 namespace {
@@ -973,6 +974,40 @@ TEST_F(ServeEndToEnd, OversizedInlineIsDrainedNotBuffered) {
 
   // At the cap is still fine.
   ASSERT_TRUE(client.IngestInline("lib", Doc(0)).ok());
+}
+
+TEST_F(ServeEndToEnd, OverDeepIngestIsRefusedAndTheCorpusKeepsServing) {
+  serve::ServerOptions options;
+  options.corpus.data_dir = dir_.path() + "/data";
+  options.corpus.fsync_journal = false;
+  StartServer(std::move(options));
+  serve::Client client = Connect();
+  ASSERT_TRUE(client.IngestInline("lib", Doc(0)).ok());
+
+  // One unclosed element past the nesting cap. The fold keeps a frame
+  // per open element, so without the cap a large payload of these would
+  // grow the daemon's memory without bound; with it the document is
+  // refused like any other parse error and never reaches the journal.
+  std::string deep;
+  for (size_t i = 0; i <= kMaxElementDepth; ++i) deep += "<d>";
+  Result<std::string> refused = client.IngestInline("lib", deep);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(refused.status().message(),
+            "element nesting deeper than " +
+                std::to_string(kMaxElementDepth));
+
+  ASSERT_TRUE(client.IngestInline("lib", Doc(1)).ok());
+  const std::vector<std::string> docs = {Doc(0), Doc(1)};
+  Result<std::string> dtd = client.Query("lib");
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("\"documents_ingested\": 2"), std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("\"documents_failed\": 1"), std::string::npos)
+      << *stats;
 }
 
 TEST_F(ServeEndToEnd, PathIngestSurvivesRepeatedSpaces) {

@@ -6,6 +6,7 @@
 #include "automaton/soa.h"
 #include "automaton/two_t_inf.h"
 #include "base/rng.h"
+#include "check/reference_fold.h"
 #include "crx/crx.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
@@ -14,6 +15,7 @@
 #include "infer/parallel.h"
 #include "infer/streaming.h"
 #include "tests/testing.h"
+#include "xml/parser.h"
 #include "xml/sax.h"
 
 namespace condtd {
@@ -155,11 +157,12 @@ std::vector<std::string> TagSoupCorpus() {
   };
 }
 
-std::string DomDtd(const std::vector<std::string>& documents,
-                   InferenceOptions options = {}) {
+/// The reference fold (src/check/): DOM parse, then one word at a time.
+std::string ReferenceDtd(const std::vector<std::string>& documents,
+                         InferenceOptions options = {}) {
   DtdInferrer inferrer(options);
   for (const std::string& doc : documents) {
-    Status status = inferrer.AddXml(doc);
+    Status status = ReferenceFoldXml(doc, &inferrer);
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
   Result<Dtd> dtd = inferrer.InferDtd();
@@ -191,17 +194,13 @@ std::string ParallelDtd(const std::vector<std::string>& documents,
   return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
 }
 
-/// The tentpole contract: DOM, streaming (dedup on and off, per-call and
-/// corpus-level, tiny flush threshold), and the sharded parallel pipeline
-/// at several job counts must all emit byte-identical DTDs.
+/// The fold contract: the streaming fold (corpus-level, per-call, tiny
+/// flush threshold) and the sharded parallel pipeline at several job
+/// counts must all emit the reference fold's DTD byte for byte.
 void ExpectAllPathsIdentical(const std::vector<std::string>& documents,
                              InferenceOptions options = {}) {
-  std::string expected = DomDtd(documents, options);
+  std::string expected = ReferenceDtd(documents, options);
   EXPECT_EQ(StreamingDtd(documents, options), expected) << "streaming";
-  StreamingFolder::Options no_dedup;
-  no_dedup.dedup_words = false;
-  EXPECT_EQ(StreamingDtd(documents, options, no_dedup), expected)
-      << "streaming without dedup";
   StreamingFolder::Options tiny_cache;
   tiny_cache.max_distinct_words = 2;
   EXPECT_EQ(StreamingDtd(documents, options, tiny_cache), expected)
@@ -209,21 +208,17 @@ void ExpectAllPathsIdentical(const std::vector<std::string>& documents,
   {
     DtdInferrer per_call(options);
     for (const std::string& doc : documents) {
-      Status status = per_call.AddXmlStreaming(doc);
+      Status status = per_call.AddXml(doc);
       ASSERT_TRUE(status.ok()) << status.ToString();
     }
     Result<Dtd> dtd = per_call.InferDtd();
     ASSERT_TRUE(dtd.ok());
     EXPECT_EQ(WriteDtd(dtd.value(), *per_call.alphabet()), expected)
-        << "AddXmlStreaming per call";
+        << "DtdInferrer::AddXml per call";
   }
   for (int jobs : {1, 2, 7}) {
     EXPECT_EQ(ParallelDtd(documents, jobs, options), expected)
-        << "parallel streaming, " << jobs << " jobs";
-    InferenceOptions dom_options = options;
-    dom_options.streaming_ingest = false;
-    EXPECT_EQ(ParallelDtd(documents, jobs, dom_options), expected)
-        << "parallel DOM, " << jobs << " jobs";
+        << "parallel, " << jobs << " jobs";
   }
 }
 
@@ -245,20 +240,34 @@ TEST(StreamingDifferential, LenientTagSoupCorpus) {
 
 TEST(StreamingDifferential, SummariesMatchExactly) {
   // Beyond the DTD: the retained per-element summaries themselves must
-  // agree between the DOM and streaming paths (same SaveState text).
+  // agree with the reference fold (same SaveState text), per call and
+  // corpus-level, with a sample cap small enough that which text
+  // samples are kept depends on the fold order.
   std::vector<std::string> documents = HandwrittenStrictCorpus();
-  DtdInferrer dom;
-  DtdInferrer sax;
-  for (const std::string& doc : documents) {
-    ASSERT_TRUE(dom.AddXml(doc).ok());
-    ASSERT_TRUE(sax.AddXmlStreaming(doc).ok());
+  // Nested same-name elements: the inner one ends first, so it is the
+  // sample an end-tag fold keeps under a cap of one.
+  documents.push_back("<deep><n>outer<n>inner</n></n></deep>");
+  InferenceOptions options;
+  options.max_text_samples = 1;
+  DtdInferrer reference(options);
+  DtdInferrer per_call(options);
+  DtdInferrer corpus(options);
+  {
+    StreamingFolder folder(&corpus);
+    for (const std::string& doc : documents) {
+      ASSERT_TRUE(ReferenceFoldXml(doc, &reference).ok());
+      ASSERT_TRUE(per_call.AddXml(doc).ok());
+      ASSERT_TRUE(folder.AddXml(doc).ok());
+    }
   }
-  EXPECT_EQ(dom.SaveState(), sax.SaveState());
+  EXPECT_NE(reference.SaveState().find("text inner\n"), std::string::npos);
+  EXPECT_EQ(per_call.SaveState(), reference.SaveState());
+  EXPECT_EQ(corpus.SaveState(), reference.SaveState());
 }
 
 // --- error parity and transactionality ------------------------------------
 
-TEST(StreamingErrors, StrictErrorsMatchDomParser) {
+TEST(StreamingErrors, StrictErrorsMatchTheParser) {
   const std::vector<std::string> bad = {
       "<a><b></a>",                 // mismatched closing tag
       "<a></a></b>",                // stray closing tag
@@ -271,13 +280,12 @@ TEST(StreamingErrors, StrictErrorsMatchDomParser) {
       "<a><!-- unterminated",       // lexical error
   };
   for (const std::string& doc : bad) {
-    DtdInferrer dom;
     DtdInferrer sax;
-    Status dom_status = dom.AddXml(doc);
-    Status sax_status = sax.AddXmlStreaming(doc);
-    EXPECT_FALSE(dom_status.ok()) << doc;
+    Status parse_status = ParseXml(doc).status();
+    Status sax_status = sax.AddXml(doc);
+    EXPECT_FALSE(parse_status.ok()) << doc;
     EXPECT_FALSE(sax_status.ok()) << doc;
-    EXPECT_EQ(dom_status.ToString(), sax_status.ToString()) << doc;
+    EXPECT_EQ(parse_status.ToString(), sax_status.ToString()) << doc;
   }
 }
 
@@ -338,7 +346,7 @@ TEST(StreamingDedup, RepeatedWordsFoldOnce) {
   Result<Dtd> dtd = inferrer.InferDtd();
   ASSERT_TRUE(dtd.ok());
   EXPECT_EQ(WriteDtd(dtd.value(), *inferrer.alphabet()),
-            DomDtd(documents));
+            ReferenceDtd(documents));
 }
 
 TEST(StreamingDedup, FlushIsIdempotent) {

@@ -3,9 +3,11 @@
 #include <string>
 #include <vector>
 
+#include "infer/inferrer.h"
+#include "infer/streaming.h"
 #include "xml/extract.h"
-#include "xml/lexer.h"
 #include "xml/parser.h"
+#include "xml/sax.h"
 
 namespace condtd {
 namespace {
@@ -82,9 +84,20 @@ TEST(XmlEntities, NumericReferenceEdgeCases) {
   EXPECT_EQ(ascii, "AB");
 }
 
+/// The streaming fold's status for one document, strict or lenient.
+Status FoldStatus(const std::string& xml, bool lenient) {
+  InferenceOptions options;
+  options.lenient_xml = lenient;
+  DtdInferrer inferrer(options);
+  StreamingFolder folder(&inferrer);
+  return folder.AddXml(xml);
+}
+
 TEST(XmlParser, DeepNestingRejectedNotOverflowed) {
   // Regression (fuzz corpus): unbounded element depth recursed through
-  // the tree destructor; the parser now caps nesting instead.
+  // the tree destructor; the parser now caps nesting instead. The
+  // streaming fold holds one frame per open element, so it enforces the
+  // same cap with the same message, strict and lenient.
   std::string deep;
   for (int i = 0; i < 12000; ++i) deep += "<d>";
   Result<XmlDocument> strict = ParseXml("<r>" + deep + "</r>");
@@ -92,7 +105,38 @@ TEST(XmlParser, DeepNestingRejectedNotOverflowed) {
   EXPECT_NE(strict.status().ToString().find("nesting"), std::string::npos)
       << strict.status().ToString();
   std::vector<std::string> recovered;
-  EXPECT_FALSE(ParseXmlLenient("<r>" + deep, &recovered).ok());
+  Result<XmlDocument> lenient = ParseXmlLenient("<r>" + deep, &recovered);
+  EXPECT_FALSE(lenient.ok());
+  EXPECT_EQ(FoldStatus("<r>" + deep + "</r>", false).ToString(),
+            strict.status().ToString());
+  EXPECT_EQ(FoldStatus("<r>" + deep, true).ToString(),
+            lenient.status().ToString());
+}
+
+TEST(XmlParser, NestingCapBoundaryIsSharedWithTheFold) {
+  // kMaxElementDepth open elements are fine, one more is not; a
+  // self-closing leaf below the deepest open element does not count.
+  auto nested = [](size_t open_elements) {
+    std::string xml;
+    for (size_t i = 0; i < open_elements; ++i) xml += "<d>";
+    xml += "<leaf/>";
+    for (size_t i = 0; i < open_elements; ++i) xml += "</d>";
+    return xml;
+  };
+  const std::string at_cap = nested(kMaxElementDepth);
+  const std::string over_cap = nested(kMaxElementDepth + 1);
+  EXPECT_TRUE(ParseXml(at_cap).ok());
+  EXPECT_TRUE(ParseXmlLenient(at_cap).ok());
+  Result<XmlDocument> rejected = ParseXml(over_cap);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().ToString(),
+            "ParseError: element nesting deeper than 10000");
+  for (bool lenient : {false, true}) {
+    EXPECT_TRUE(FoldStatus(at_cap, lenient).ok()) << lenient;
+    EXPECT_EQ(FoldStatus(over_cap, lenient).ToString(),
+              rejected.status().ToString())
+        << lenient;
+  }
 }
 
 TEST(XmlParser, Errors) {
@@ -133,25 +177,6 @@ TEST(XmlExtract, ChildSequencesPerElement) {
   EXPECT_EQ(contexts.contexts.at(rec)[1].size(), 1u);
   EXPECT_TRUE(contexts.has_text.count(note) > 0);
   EXPECT_TRUE(contexts.roots.count(db) > 0);
-}
-
-TEST(XmlLexer, TokenStream) {
-  XmlLexer lexer("<a b=\"c\">x</a>");
-  Result<XmlToken> t1 = lexer.Next();
-  ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1->kind, XmlTokenKind::kStartTag);
-  EXPECT_EQ(t1->name, "a");
-  ASSERT_EQ(t1->attributes.size(), 1u);
-  Result<XmlToken> t2 = lexer.Next();
-  ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(t2->kind, XmlTokenKind::kText);
-  EXPECT_EQ(t2->text, "x");
-  Result<XmlToken> t3 = lexer.Next();
-  ASSERT_TRUE(t3.ok());
-  EXPECT_EQ(t3->kind, XmlTokenKind::kEndTag);
-  Result<XmlToken> t4 = lexer.Next();
-  ASSERT_TRUE(t4.ok());
-  EXPECT_EQ(t4->kind, XmlTokenKind::kEof);
 }
 
 }  // namespace

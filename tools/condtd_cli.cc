@@ -10,9 +10,6 @@
 //       --jobs=N              ingest and infer on N threads (sharded
 //                             pipeline; output identical to N=1;
 //                             0 = hardware concurrency)
-//       --dom                 ingest through the DOM parser instead of
-//                             the default streaming SAX fold (identical
-//                             output; for comparison/debugging)
 //       --out=FILE            write the schema to FILE instead of stdout
 //       --state-in=FILE       resume from a saved summary state
 //       --state-out=FILE      save the summary state after folding
@@ -86,7 +83,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  condtd infer [--xsd] [--algorithm=%s]\n"
-      "               [--noise=N] [--jobs=N] [--max-strings=N] [--dom]\n"
+      "               [--noise=N] [--jobs=N] [--max-strings=N]\n"
       "               [--batch-docs=N] [--no-mmap]\n"
       "               [--out=FILE] [--stats[=json|text]]\n"
       "               [--state-in=FILE] [--state-out=FILE] file.xml...\n"
@@ -103,7 +100,7 @@ int Usage() {
       "               [--compact-journal-bytes=N] [--corpus-ttl=SECONDS]\n"
       "               [--max-corpora=N] [--max-inline-bytes=N]\n"
       "               [--http-port=N] [--http-host=HOST]\n"
-      "               [--algorithm=NAME] [--noise=N] [--lenient] [--dom]\n"
+      "               [--algorithm=NAME] [--noise=N] [--lenient]\n"
       "  condtd client (--socket=PATH | --port=N) <cmd>\n"
       "               cmd: ping | ingest <corpus> file.xml... |\n"
       "                    query <corpus> [--algorithm=NAME] [--xsd] |\n"
@@ -165,8 +162,6 @@ int RunInfer(const std::vector<std::string>& args) {
       emit_xsd = true;
     } else if (arg == "--lenient") {
       options.lenient_xml = true;
-    } else if (arg == "--dom") {
-      options.streaming_ingest = false;
     } else if (arg == "--no-mmap") {
       input_options.allow_mmap = false;
     } else if (GetFlag(arg, "batch-docs", &value)) {
@@ -232,10 +227,10 @@ int RunInfer(const std::vector<std::string>& args) {
     obs::GaugeSet(obs::Gauge::kJobs, jobs);
   }
 
-  // One ingestion engine for every job count: --jobs=1 folds
-  // sequentially (streaming by default, --dom for the tree parser),
-  // anything else runs the sharded pipeline. The inferred schema is
-  // byte-identical either way, so the flag is purely about throughput.
+  // One ingestion engine for every job count: --jobs=1 runs the
+  // streaming fold sequentially, anything else runs the sharded
+  // pipeline. The inferred schema is byte-identical either way, so the
+  // flag is purely about throughput.
   IngestEngine::Options engine_options;
   engine_options.inference = options;
   engine_options.input = input_options;
@@ -746,8 +741,6 @@ int RunServe(const std::vector<std::string>& args) {
           options.corpus.inference.noise_symbol_threshold;
     } else if (arg == "--lenient") {
       options.corpus.inference.lenient_xml = true;
-    } else if (arg == "--dom") {
-      options.corpus.inference.streaming_ingest = false;
     } else if (arg == "--stats") {
       stats.mode = StatsReporter::Mode::kText;
     } else if (GetFlag(arg, "stats", &value)) {
