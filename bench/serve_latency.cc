@@ -5,8 +5,8 @@
 // schema off the ingest lock, so the distribution captures the real
 // reader cost under writer pressure — the number a tenant sees, not an
 // idle-server microbenchmark. Quantiles are exact (sorted raw samples,
-// not histogram interpolation; serve/latency.h is for the always-on
-// cheap path inside the daemon).
+// not histogram interpolation; the obs::StageStats histograms are for
+// the always-on cheap path inside the daemon).
 //
 //   serve_latency [--clients=4] [--docs-per-client=250] [--queries=200]
 //                 [--snapshot-every=0] [--corpus-ttl=SECONDS] [--fsync]

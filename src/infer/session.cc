@@ -35,16 +35,21 @@ Status IngestSession::IngestFile(const std::string& path,
   return Ingest(content->view());
 }
 
-Status IngestSession::LoadState(std::string_view state) {
+void IngestSession::MergeFrom(const DtdInferrer& other) {
   std::lock_guard<std::mutex> lock(mu_);
   // Flush first so the cached weighted folds of earlier documents land
-  // before the loaded names intern (keeps the combined state equal to a
-  // sequential ingest-then-load run).
+  // before the merged names intern (keeps the combined state equal to a
+  // sequential ingest-then-merge run).
   folder_.Flush();
-  Status status = inferrer_.LoadState(state);
-  if (!status.ok()) return status;
+  inferrer_.MergeFrom(other);
   epoch_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
+}
+
+void IngestSession::Snapshot(DtdInferrer* reader, int64_t* epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  folder_.Flush();
+  reader->MergeFrom(inferrer_);
+  if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_relaxed);
 }
 
 void IngestSession::Snapshot(std::string* state, int64_t* epoch) {

@@ -36,7 +36,11 @@ namespace condtd {
 /// deterministic). Cross-corpus parallelism comes from the daemon's
 /// worker pool running many sessions; batch-corpus parallelism from
 /// IngestEngine (infer/engine.h), which shards across threads and whose
-/// merged state a session can adopt via LoadState.
+/// merged inferrer a session can adopt via MergeFrom.
+///
+/// Summaries move between inferrers in memory only through
+/// DtdInferrer::MergeFrom; the SaveState text is for bytes that leave
+/// the process (snapshot files).
 class IngestSession {
  public:
   explicit IngestSession(InferenceOptions options);
@@ -55,18 +59,22 @@ class IngestSession {
   Status IngestFile(const std::string& path,
                     const InputBuffer::Options& input);
 
-  /// Merges a previously saved summary state (journal recovery, shard
-  /// adoption). Counts as one epoch step. Thread-safe.
-  Status LoadState(std::string_view state);
+  /// Merges another inferrer's summaries into the session (journal
+  /// recovery, shard adoption). Counts as one epoch step. Thread-safe.
+  void MergeFrom(const DtdInferrer& other);
 
-  /// Captures a consistent snapshot: the SaveState text of everything
-  /// ingested so far, plus the epoch it corresponds to. Thread-safe;
-  /// blocks ingestion only for the flush-and-serialize, not for any
-  /// learning a reader does with the snapshot afterwards.
+  /// Captures a consistent snapshot: merges everything ingested so far
+  /// into `reader` (normally a fresh inferrer, which then answers for
+  /// that document prefix) and reports the epoch it corresponds to.
+  /// Thread-safe; blocks ingestion only for the flush-and-merge, not for
+  /// any learning the reader does afterwards.
+  void Snapshot(DtdInferrer* reader, int64_t* epoch);
+
+  /// The same snapshot as SaveState text, for writing to disk.
   void Snapshot(std::string* state, int64_t* epoch);
 
   /// Monotone version counter: bumps once per successful Ingest and
-  /// LoadState. Readers use it to cache learned schemas per version.
+  /// MergeFrom. Readers use it to cache learned schemas per version.
   int64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Raises the monotone public counters to at least the given values.

@@ -270,6 +270,15 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
   if (version == 0) {
     return Status::ParseError("unrecognized state header");
   }
+  // Save writes the element lines in the saver's ascending symbol order,
+  // after the root and child lines. Interning the element names first
+  // gives a fresh alphabet the saver's numbering back, and a non-empty
+  // one the saver's relative order, as MergeFrom does.
+  for (size_t i = 1; i < lines.size() && lines[i] != "end"; ++i) {
+    if (!StartsWith(lines[i], "element ")) continue;
+    std::vector<std::string> fields = SplitString(lines[i], ' ');
+    if (fields.size() == 4) alphabet->Intern(fields[1]);
+  }
   ElementSummary* current = nullptr;
   bool saw_end = false;
   for (size_t i = 1; i < lines.size(); ++i) {
@@ -331,6 +340,18 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       // A version-1 file cannot carry the reservoir, so summaries loaded
       // from it can never satisfy a needs-full-words learner.
       if (version == 1) current->words_complete = false;
+      // Create the SOA states in the order of their soa.state lines (the
+      // saver's state numbering) before an edge line can create a
+      // successor state ahead of its turn.
+      for (size_t j = i + 1; j < lines.size() && lines[j] != "end" &&
+                             !StartsWith(lines[j], "element ");
+           ++j) {
+        if (!StartsWith(lines[j], "soa.state ")) continue;
+        std::vector<std::string> state = SplitString(lines[j], ' ');
+        if (state.size() == 3) {
+          current->soa.AddState(alphabet->Intern(state[1]));
+        }
+      }
       continue;
     }
     if (current == nullptr) {

@@ -56,7 +56,42 @@ constexpr std::array<std::string_view, static_cast<size_t>(Stage::kNumStages)>
         "emit",      "serve_ingest",  "serve_query",   "journal_replay",
 };
 
+int BucketOf(int64_t elapsed_ns) {
+  int bucket = 0;
+  while (bucket < kLatencyBuckets - 1 &&
+         elapsed_ns > kBucketBoundsNs[bucket]) {
+    ++bucket;
+  }
+  return bucket;
+}
+
 }  // namespace
+
+void StageStats::Record(int64_t elapsed_ns) {
+  ++count;
+  total_ns += elapsed_ns;
+  ++buckets[BucketOf(elapsed_ns)];
+}
+
+int64_t StageStats::QuantileNs(double q) const {
+  const int64_t top = kBucketBoundsNs[kLatencyBuckets - 2] * 10;
+  if (count == 0) return 0;
+  double target = q * static_cast<double>(count);
+  int64_t cumulative = 0;
+  for (int bucket = 0; bucket < kLatencyBuckets; ++bucket) {
+    if (buckets[bucket] == 0) continue;
+    double before = static_cast<double>(cumulative);
+    cumulative += buckets[bucket];
+    if (static_cast<double>(cumulative) < target) continue;
+    int64_t lo = bucket == 0 ? 0 : kBucketBoundsNs[bucket - 1];
+    int64_t hi = bucket < kLatencyBuckets - 1 ? kBucketBoundsNs[bucket] : top;
+    double fraction =
+        (target - before) / static_cast<double>(buckets[bucket]);
+    fraction = std::clamp(fraction, 0.0, 1.0);
+    return lo + static_cast<int64_t>(fraction * static_cast<double>(hi - lo));
+  }
+  return top;
+}
 
 std::string_view CounterName(Counter counter) {
   return kCounterNames[static_cast<size_t>(counter)];
@@ -119,15 +154,6 @@ inline Slot& LocalSlot() {
   thread_local unsigned index =
       next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
   return g_slots[index];
-}
-
-inline int BucketOf(int64_t elapsed_ns) {
-  int bucket = 0;
-  while (bucket < kLatencyBuckets - 1 &&
-         elapsed_ns > kBucketBoundsNs[bucket]) {
-    ++bucket;
-  }
-  return bucket;
 }
 
 }  // namespace

@@ -146,11 +146,21 @@ std::string_view SchedCounterName(SchedCounter counter);
 std::string_view GaugeName(Gauge gauge);
 std::string_view StageName(Stage stage);
 
-/// Aggregated view of one stage's latency histogram.
+/// One latency histogram over the fixed buckets: the aggregated view of
+/// a registry stage, and the serve daemon's per-corpus request
+/// latencies (STATS, /metrics). Plain data; the owner synchronizes.
 struct StageStats {
   int64_t count = 0;
   int64_t total_ns = 0;
   std::array<int64_t, kLatencyBuckets> buckets{};
+
+  void Record(int64_t elapsed_ns);
+
+  /// Estimated q-quantile (0 < q < 1) in ns: walk the cumulative
+  /// histogram to the target rank, then interpolate linearly inside the
+  /// landing bucket. The unbounded last bucket extends one more decade.
+  /// Good to roughly one decade of resolution.
+  int64_t QuantileNs(double q) const;
 };
 
 /// Aggregated per-learner dispatch stats (keyed by registry name).

@@ -165,7 +165,7 @@ Status Corpus::RecoverLocked() {
                             folded.ToString());
   }
   if (replayed->records > 0 || FileExists(SnapshotPath(generation_))) {
-    CONDTD_RETURN_IF_ERROR(session_.LoadState(engine.inferrer().SaveState()));
+    session_.MergeFrom(engine.inferrer());
   }
   replayed_documents_ = replayed->records;
   next_seq_ = max_seq + 1;
@@ -266,16 +266,13 @@ Result<std::string> Corpus::Query(const std::string& algorithm, bool xsd) {
   }
 
   // Consistent snapshot, then learn entirely off the ingest path: a
-  // fresh inferrer restored via LoadState answers for the snapshot's
-  // document prefix while writers keep folding.
-  std::string state;
-  int64_t epoch = 0;
-  session_.Snapshot(&state, &epoch);
-
+  // fresh inferrer holding a copy of the session's summaries answers for
+  // the snapshot's document prefix while writers keep folding.
   InferenceOptions inference = options_.inference;
   if (!algorithm.empty()) inference.learner = algorithm;
   DtdInferrer reader(inference);
-  CONDTD_RETURN_IF_ERROR(reader.LoadState(state));
+  int64_t epoch = 0;
+  session_.Snapshot(&reader, &epoch);
 
   std::string schema;
   if (xsd) {

@@ -11,8 +11,8 @@
 #include "infer/inferrer.h"
 #include "infer/session.h"
 #include "io/input_buffer.h"
+#include "obs/metrics.h"
 #include "serve/journal.h"
-#include "serve/latency.h"
 
 namespace condtd {
 namespace serve {
@@ -31,8 +31,8 @@ struct CorpusStats {
   int64_t generation = 0;       ///< current snapshot/journal generation
   int64_t journal_bytes = 0;    ///< size of the live journal file
   int64_t approx_bytes = 0;     ///< the condtd_corpus_bytes gauge
-  LatencyHistogram ingest_latency;
-  LatencyHistogram query_latency;
+  obs::StageStats ingest_latency;
+  obs::StageStats query_latency;
 };
 
 /// One tenant corpus in the serve daemon: a live IngestSession plus its
@@ -43,15 +43,16 @@ struct CorpusStats {
 /// every Ingest folds the document into the session FIRST, appends it
 /// to the journal SECOND, and only then acknowledges — so the journal
 /// holds exactly the acknowledged document multiset, and recovery
-/// (base snapshot LoadState + sequential journal re-fold) reproduces
-/// the acknowledged state byte-identically. WriteSnapshot rotates to a
+/// (base snapshot LoadState + sequential journal re-fold, then one
+/// in-memory MergeFrom into the session) reproduces the acknowledged
+/// state byte-identically. WriteSnapshot rotates to a
 /// fresh generation with an atomic CURRENT rename; a crash at any
 /// instant leaves either the old generation fully intact or the new
 /// one fully current — documents are never lost or double-folded.
 ///
 /// Concurrency: one writer at a time (ingest_mu_); readers (Query)
-/// capture a consistent session snapshot and learn entirely off-lock,
-/// so long learner runs never stall ingestion.
+/// copy a consistent session snapshot into their own inferrer and learn
+/// entirely off-lock, so long learner runs never stall ingestion.
 class Corpus {
  public:
   struct Options {
@@ -158,8 +159,8 @@ class Corpus {
   int64_t query_cache_hits_ = 0;
   int64_t snapshots_ = 0;
   int64_t compactions_ = 0;
-  LatencyHistogram ingest_latency_;
-  LatencyHistogram query_latency_;
+  obs::StageStats ingest_latency_;
+  obs::StageStats query_latency_;
 };
 
 }  // namespace serve

@@ -74,10 +74,10 @@ void CorpusHistogram(
     std::string& out,
     const std::vector<std::pair<std::string, CorpusStats>>& corpora,
     std::string_view name, std::string_view help,
-    const LatencyHistogram CorpusStats::* histogram) {
+    const obs::StageStats CorpusStats::* histogram) {
   AppendHeader(out, name, "histogram", help);
   for (const auto& [id, stats] : corpora) {
-    const LatencyHistogram& h = stats.*histogram;
+    const obs::StageStats& h = stats.*histogram;
     const std::string label = EscapeLabel(id);
     int64_t cumulative = 0;
     for (int bucket = 0; bucket < obs::kLatencyBuckets; ++bucket) {

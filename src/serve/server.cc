@@ -16,7 +16,6 @@
 #include "base/strings.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "serve/latency.h"
 #include "serve/prometheus.h"
 
 namespace condtd {
@@ -46,7 +45,7 @@ void AppendJsonInt(std::string* out, std::string_view key, int64_t value,
 }
 
 void AppendLatencyJson(std::string* out, std::string_view key,
-                       const LatencyHistogram& histogram, bool* first) {
+                       const obs::StageStats& histogram, bool* first) {
   if (!*first) out->append(",\n");
   *first = false;
   out->append("        \"");

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "base/file.h"
+#include "tests/testing.h"
 
 namespace condtd {
 namespace {
@@ -101,6 +102,22 @@ TEST_F(CliTest, StatePipelineMatchesOneShot) {
       RunCli("infer --state-in=" + state + " " + xml2_);
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
   CommandResult oneshot = RunCli("infer " + xml1_ + " " + xml2_);
+  EXPECT_EQ(resumed.output, oneshot.output);
+
+  // Two roots before the resume: the state lists root `b` ahead of the
+  // element `c` that the first run numbered (and declares) before it.
+  std::string d1 = TempPath("d1.xml");
+  std::string d2 = TempPath("d2.xml");
+  std::string e1 = TempPath("e1.xml");
+  ASSERT_TRUE(WriteStringToFile(d1, testing_util::kTwoRootDocs[0]).ok());
+  ASSERT_TRUE(WriteStringToFile(d2, testing_util::kTwoRootDocs[1]).ok());
+  ASSERT_TRUE(WriteStringToFile(e1, testing_util::kSoaOrderDocs[0]).ok());
+  ASSERT_EQ(
+      RunCli("infer --state-out=" + state + " " + d1 + " " + d2).exit_code,
+      0);
+  resumed = RunCli("infer --state-in=" + state + " " + e1);
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+  oneshot = RunCli("infer " + d1 + " " + d2 + " " + e1);
   EXPECT_EQ(resumed.output, oneshot.output);
 }
 

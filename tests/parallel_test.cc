@@ -355,21 +355,34 @@ TEST(InferrerMerge, ContiguousShardsMergedInOrderMatchSequential) {
 }
 
 TEST(InferrerMerge, MergeMatchesLoadStateMerge) {
-  // MergeFrom must agree with the established text-format merge path
-  // (LoadState on a non-empty inferrer), which the persistence tests pin.
+  // MergeFrom must agree with the text-format merge path (LoadState
+  // into an empty, then a non-empty inferrer), which the persistence
+  // tests pin.
   std::vector<std::string> documents = GenerateCorpus(80, 909);
-  DtdInferrer a;
-  DtdInferrer b;
-  for (size_t i = 0; i < documents.size(); ++i) {
-    ASSERT_TRUE(((i < 40) ? a : b).AddXml(documents[i]).ok());
+  const std::vector<std::string> first(documents.begin(),
+                                       documents.begin() + 40);
+  const std::vector<std::string> second(documents.begin() + 40,
+                                        documents.end());
+  using testing_util::kSoaOrderDocs;
+  using testing_util::kTwoRootDocs;
+  const std::vector<std::vector<std::string>> shards[] = {
+      {first, second},
+      {kTwoRootDocs, kSoaOrderDocs},
+      {kSoaOrderDocs, kTwoRootDocs},
+  };
+  for (const std::vector<std::vector<std::string>>& pair : shards) {
+    DtdInferrer a;
+    DtdInferrer b;
+    for (const std::string& doc : pair[0]) ASSERT_TRUE(a.AddXml(doc).ok());
+    for (const std::string& doc : pair[1]) ASSERT_TRUE(b.AddXml(doc).ok());
+    DtdInferrer via_merge;
+    via_merge.MergeFrom(a);
+    via_merge.MergeFrom(b);
+    DtdInferrer via_state;
+    ASSERT_TRUE(via_state.LoadState(a.SaveState()).ok());
+    ASSERT_TRUE(via_state.LoadState(b.SaveState()).ok());
+    EXPECT_EQ(via_merge.SaveState(), via_state.SaveState());
   }
-  DtdInferrer via_merge;
-  via_merge.MergeFrom(a);
-  via_merge.MergeFrom(b);
-  DtdInferrer via_state;
-  ASSERT_TRUE(via_state.LoadState(a.SaveState()).ok());
-  ASSERT_TRUE(via_state.LoadState(b.SaveState()).ok());
-  EXPECT_EQ(via_merge.SaveState(), via_state.SaveState());
 }
 
 // --- batch scheduler ------------------------------------------------------

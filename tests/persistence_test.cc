@@ -173,27 +173,35 @@ TEST(StatePersistence, SaveLoadRoundTripsTheDtd) {
       &gen_alphabet);
   ASSERT_TRUE(truth.ok());
   Rng rng(77);
-  DtdInferrer original;
+  std::vector<std::string> generated;
   for (int i = 0; i < 60; ++i) {
     Result<XmlDocument> doc =
         GenerateDocument(truth.value(), gen_alphabet, &rng);
-    ASSERT_TRUE(original.AddXml(doc->ToXml()).ok());
+    generated.push_back(doc->ToXml());
   }
-  std::string state = original.SaveState();
+  for (const std::vector<std::string>& docs :
+       {generated, testing_util::kTwoRootDocs, testing_util::kSoaOrderDocs}) {
+    DtdInferrer original;
+    for (const std::string& doc : docs) {
+      ASSERT_TRUE(original.AddXml(doc).ok());
+    }
+    std::string state = original.SaveState();
 
-  DtdInferrer restored;
-  ASSERT_TRUE(restored.LoadState(state).ok());
-  Result<Dtd> a = original.InferDtd();
-  Result<Dtd> b = restored.InferDtd();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(WriteDtd(a.value(), *original.alphabet()),
-            WriteDtd(b.value(), *restored.alphabet()));
-  // XSD output (numeric predicates + datatypes from text samples) also
-  // survives.
-  EXPECT_EQ(original.InferXsd().value(), restored.InferXsd().value());
-  // And the state re-serializes identically (canonical form).
-  EXPECT_EQ(restored.SaveState(), state);
+    DtdInferrer restored;
+    ASSERT_TRUE(restored.LoadState(state).ok());
+    Result<Dtd> a = original.InferDtd();
+    Result<Dtd> b = restored.InferDtd();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(WriteDtd(a.value(), *original.alphabet()),
+              WriteDtd(b.value(), *restored.alphabet()));
+    // XSD output (numeric predicates + datatypes from text samples) also
+    // survives.
+    EXPECT_EQ(original.InferXsd().value(), restored.InferXsd().value());
+    // And the state re-serializes identically (canonical form): the
+    // loader keeps the saver's symbol and SOA state numbering.
+    EXPECT_EQ(restored.SaveState(), state);
+  }
 }
 
 TEST(StatePersistence, LoadMergesShards) {

@@ -44,6 +44,7 @@
 #include "serve/journal.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "tests/testing.h"
 #include "xml/sax.h"
 
 namespace condtd {
@@ -84,6 +85,21 @@ std::string Doc(int index) {
   return xml;
 }
 
+/// Doc(0..count) interleaved with the two-root and SOA-order documents
+/// of tests/testing.h, so states carry several roots and SOA edges to
+/// states saved later.
+std::vector<std::string> MixedDocs(int count) {
+  std::vector<std::string> extra = testing_util::kTwoRootDocs;
+  extra.insert(extra.end(), testing_util::kSoaOrderDocs.begin(),
+               testing_util::kSoaOrderDocs.end());
+  std::vector<std::string> docs;
+  for (int i = 0; i < count; ++i) {
+    docs.push_back(Doc(i));
+    if (i < static_cast<int>(extra.size())) docs.push_back(extra[i]);
+  }
+  return docs;
+}
+
 /// Reference: the sequential engine's SaveState after folding
 /// docs[0..prefix).
 std::string PrefixState(const std::vector<std::string>& docs,
@@ -113,9 +129,9 @@ std::vector<std::string> ListDir(const std::string& path) {
 
 /// Reference: the sequential engine's DTD text after folding
 /// docs[0..prefix).
-std::string PrefixDtd(const std::vector<std::string>& docs,
-                      size_t prefix) {
-  DtdInferrer inferrer;
+std::string PrefixDtd(const std::vector<std::string>& docs, size_t prefix,
+                      const InferenceOptions& options = {}) {
+  DtdInferrer inferrer(options);
   StreamingFolder folder(&inferrer);
   for (size_t i = 0; i < prefix; ++i) {
     EXPECT_TRUE(folder.AddXml(docs[i]).ok());
@@ -200,9 +216,7 @@ TEST(Journal, TornTailIsDiscarded) {
 // "concurrent SaveState while ingestion is in flight").
 
 TEST(IngestSession, ConcurrentSnapshotsAreAlwaysAPrefixState) {
-  constexpr int kDocs = 24;
-  std::vector<std::string> docs;
-  for (int i = 0; i < kDocs; ++i) docs.push_back(Doc(i));
+  std::vector<std::string> docs = MixedDocs(24);
 
   // Reference states for every prefix, computed sequentially.
   std::set<std::string> prefix_states;
@@ -220,6 +234,11 @@ TEST(IngestSession, ConcurrentSnapshotsAreAlwaysAPrefixState) {
       session.Snapshot(&state, &epoch);
       snapshots.push_back(std::move(state));
       epochs.push_back(epoch);
+      // The in-memory copy a QUERY learns from.
+      DtdInferrer copy;
+      session.Snapshot(&copy, &epoch);
+      snapshots.push_back(copy.SaveState());
+      epochs.push_back(epoch);
     }
   });
   for (const std::string& doc : docs) {
@@ -227,8 +246,8 @@ TEST(IngestSession, ConcurrentSnapshotsAreAlwaysAPrefixState) {
   }
   reader.join();
 
-  // Every snapshot taken mid-ingest equals the sequential SaveState of
-  // SOME prefix — never a torn intermediate.
+  // Every snapshot taken mid-ingest, text or copy, equals the
+  // sequential SaveState of SOME prefix — never a torn intermediate.
   for (const std::string& snapshot : snapshots) {
     EXPECT_TRUE(prefix_states.count(snapshot) > 0)
         << "snapshot is not any prefix state";
@@ -241,7 +260,7 @@ TEST(IngestSession, ConcurrentSnapshotsAreAlwaysAPrefixState) {
   std::string final_state;
   session.Snapshot(&final_state, nullptr);
   EXPECT_EQ(final_state, PrefixState(docs, docs.size()));
-  EXPECT_EQ(session.documents(), kDocs);
+  EXPECT_EQ(session.documents(), static_cast<int64_t>(docs.size()));
 }
 
 TEST(IngestSession, FailedDocumentContributesNothing) {
@@ -310,18 +329,17 @@ TEST(Corpus, RecoversFromSnapshotPlusJournal) {
   options.data_dir = dir.path();
   options.fsync_journal = false;
 
-  std::vector<std::string> docs;
-  for (int i = 0; i < 8; ++i) docs.push_back(Doc(i));
+  std::vector<std::string> docs = MixedDocs(8);
+  constexpr size_t kSnapshotAt = 5;
 
   {
     Result<std::unique_ptr<serve::Corpus>> corpus =
         serve::Corpus::Open("lib", options);
     ASSERT_TRUE(corpus.ok());
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
-    }
-    ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
-    for (int i = 5; i < 8; ++i) {
+    for (size_t i = 0; i < docs.size(); ++i) {
+      if (i == kSnapshotAt) {
+        ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
+      }
       ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
     }
   }
@@ -331,11 +349,20 @@ TEST(Corpus, RecoversFromSnapshotPlusJournal) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   serve::CorpusStats stats = (*recovered)->GetStats();
   EXPECT_EQ(stats.generation, 1);
-  EXPECT_EQ(stats.replayed_documents, 3);  // only the post-snapshot tail
+  // Only the post-snapshot tail is replayed.
+  EXPECT_EQ(stats.replayed_documents,
+            static_cast<int64_t>(docs.size() - kSnapshotAt));
 
   Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
   ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
   EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
+
+  // The next snapshot file holds the batch state, byte for byte.
+  ASSERT_TRUE((*recovered)->WriteSnapshot().ok());
+  Result<std::string> snapshot =
+      ReadFileToString(dir.path() + "/lib/snapshot-2.state");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(*snapshot, PrefixState(docs, docs.size()));
 }
 
 TEST(Corpus, TornJournalTailRecoversAcknowledgedPrefix) {
@@ -371,9 +398,7 @@ TEST(Corpus, TornJournalTailRecoversAcknowledgedPrefix) {
 }
 
 TEST(Corpus, QueriesDuringIngestionAnswerForAConsistentPrefix) {
-  constexpr int kDocs = 16;
-  std::vector<std::string> docs;
-  for (int i = 0; i < kDocs; ++i) docs.push_back(Doc(i));
+  std::vector<std::string> docs = MixedDocs(16);
 
   std::set<std::string> prefix_dtds;
   for (size_t prefix = 1; prefix <= docs.size(); ++prefix) {
@@ -394,7 +419,7 @@ TEST(Corpus, QueriesDuringIngestionAnswerForAConsistentPrefix) {
       answers.push_back(std::move(*dtd));
     }
   });
-  for (int i = 1; i < kDocs; ++i) {
+  for (size_t i = 1; i < docs.size(); ++i) {
     ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
   }
   reader.join();
@@ -467,6 +492,14 @@ TEST(Corpus, XsdQueryAndAlgorithmOverride) {
 
   Result<std::string> crx = (*corpus)->Query("crx", /*xsd=*/false);
   ASSERT_TRUE(crx.ok()) << crx.status().ToString();
+  InferenceOptions crx_options;
+  crx_options.learner = "crx";
+  EXPECT_EQ(*crx, PrefixDtd({Doc(3)}, 1, crx_options));
+
+  // The corpus keeps no word reservoir for XTRACT to learn from.
+  Result<std::string> xtract = (*corpus)->Query("xtract", false);
+  ASSERT_FALSE(xtract.ok());
+  EXPECT_EQ(xtract.status().code(), StatusCode::kFailedPrecondition);
 
   Result<std::string> bogus = (*corpus)->Query("nonsense", false);
   EXPECT_FALSE(bogus.ok());

@@ -34,6 +34,16 @@ inline ReRef ParseNames(const std::string& text, Alphabet* alphabet) {
   return re.value();
 }
 
+/// Two roots: a saved state lists root `b` before the element lines,
+/// although the saver numbered `c` first.
+inline const std::vector<std::string> kTwoRootDocs = {
+    "<a><c/><b><c/></b></a>", "<b><c/></b>"};
+
+/// The SOA of `r` has an edge x -> z, and the saver numbered state `y`
+/// before `z`.
+inline const std::vector<std::string> kSoaOrderDocs = {
+    "<r><x/></r>", "<r><y/></r>", "<r><x/><z/></r>"};
+
 /// Builds words from one-letter strings.
 inline std::vector<Word> WordsFromStrings(
     const std::vector<std::string>& strings, Alphabet* alphabet) {
