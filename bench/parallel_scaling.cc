@@ -1,11 +1,11 @@
-// Thread-count scaling of the parallel sharded-ingestion pipeline
-// (ParallelDtdInferrer) on the paper's corpora: Table 2's example4
-// (61 symbols, 10000 strings — one big element, dominated by parse +
-// fold) and a multi-element corpus built from the nine Table 1 content
-// models (exercises the per-element inference fan-out). The sequential
-// streaming fold over the same documents is the baseline each sweep is
-// compared against; the run_parallel_scaling.sh runner captures the
-// sweep as BENCH_parallel.json.
+// Thread-count scaling of the batch ingestion engine (IngestEngine) on
+// the paper's corpora: Table 2's example4 (61 symbols, 10000 strings —
+// one big element, dominated by parse + fold) and a multi-element corpus
+// built from the nine Table 1 content models (exercises the per-element
+// inference fan-out). At one job the engine spawns no thread. The
+// sequential streaming fold over the same documents is the baseline each
+// sweep is compared against; the run_parallel_scaling.sh runner captures
+// the sweep as BENCH_parallel.json.
 //
 // Note the determinism contract: every thread count produces the same
 // DTD, so the sweep measures pure pipeline overhead/speedup.
@@ -17,8 +17,8 @@
 
 #include "bench/bench_util.h"
 #include "gen/corpus.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "infer/streaming.h"
 
 namespace condtd {
@@ -47,14 +47,16 @@ void RunSequentialStreaming(benchmark::State& state,
 
 void RunParallel(benchmark::State& state,
                  const std::vector<std::string>& documents) {
-  int threads = static_cast<int>(state.range(0));
+  IngestEngine::Options options;
+  options.jobs = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    ParallelDtdInferrer inferrer(InferenceOptions{}, threads);
+    IngestEngine engine(options);
     // Borrowed submission: `documents` outlives Finish(), so the
     // scheduler stages string_views into batches with no per-document
     // copy — the same zero-copy path the CLI uses for mmap'd files.
-    for (const std::string& doc : documents) inferrer.AddBorrowedXml(doc);
-    Result<Dtd> dtd = inferrer.InferDtd();
+    for (const std::string& doc : documents) engine.AddBorrowedXml(doc);
+    if (!engine.Finish().ok()) state.SkipWithError("ingestion failed");
+    Result<Dtd> dtd = engine.inferrer().InferDtd(engine.infer_threads());
     if (!dtd.ok()) state.SkipWithError("inference failed");
     benchmark::DoNotOptimize(dtd.ok());
   }

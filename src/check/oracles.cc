@@ -9,7 +9,7 @@
 #include "check/reference_fold.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
-#include "infer/parallel.h"
+#include "infer/engine.h"
 #include "infer/streaming.h"
 #include "regex/determinism.h"
 #include "regex/equivalence.h"
@@ -467,6 +467,65 @@ OracleResult FoldSequence(const std::string& label,
   return OracleResult::Pass();
 }
 
+/// Runs documents [first, end), each followed by its broken counterpart
+/// (if any), through a one-job IngestEngine that first loads the
+/// reference fold's state over the clean documents [0, first). Every
+/// broken document must be reported at its submission index, and the
+/// SaveState text must equal `want_state`.
+OracleResult CheckOneJobEngine(const std::vector<std::string>& documents,
+                               const std::vector<std::string>& broken,
+                               const InferenceOptions& options, size_t first,
+                               const std::string& want_state) {
+  const std::string label =
+      first == 0 ? std::string("IngestEngine (jobs=1)")
+                 : "IngestEngine (jobs=1, state of the first " +
+                       std::to_string(first) + " documents loaded)";
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  IngestEngine engine(engine_options);
+  if (first > 0) {
+    DtdInferrer prefix(options);
+    for (size_t d = 0; d < first; ++d) {
+      Status status = ReferenceFoldXml(documents[d], &prefix);
+      if (!status.ok()) {
+        return OracleResult::Fail("reference-fold ingestion failed: " +
+                                  status.ToString());
+      }
+    }
+    Status loaded = engine.LoadState(prefix.SaveState());
+    if (!loaded.ok()) {
+      return OracleResult::Fail(label + " LoadState failed: " +
+                                loaded.ToString());
+    }
+  }
+  std::string want_errors;
+  for (size_t d = first; d < documents.size(); ++d) {
+    engine.AddXml(documents[d]);
+    if (d < broken.size() && !broken[d].empty()) {
+      want_errors += " " + std::to_string(engine.documents_added());
+      engine.AddXml(broken[d]);
+    }
+  }
+  (void)engine.Finish();  // fails exactly when a broken document ran
+  std::string got_errors;
+  for (const IngestEngine::DocumentError& error : engine.errors()) {
+    got_errors += " " + std::to_string(error.doc_index);
+  }
+  if (got_errors != want_errors) {
+    return OracleResult::Fail(label + " reported failed documents [" +
+                              got_errors + " ], expected [" + want_errors +
+                              " ]");
+  }
+  const std::string state = engine.inferrer().SaveState();
+  if (state != want_state) {
+    return OracleResult::Fail(label +
+                              " SaveState differs from the reference "
+                              "fold's:\n" +
+                              state + "vs\n" + want_state);
+  }
+  return OracleResult::Pass();
+}
+
 }  // namespace
 
 OracleResult CheckIngestionEquivalence(
@@ -497,6 +556,15 @@ OracleResult CheckIngestionEquivalence(
         streaming_state + "vs\n" + reference_state);
   }
 
+  // The batch engine at one job (the CLI's default and serve
+  // recovery's) folds to the same bytes, also with a prefix's state
+  // loaded ahead of the remaining documents.
+  for (size_t first : {size_t{0}, documents.size() / 2}) {
+    run = CheckOneJobEngine(documents, broken_documents, options, first,
+                            reference_state);
+    if (!run.passed) return run;
+  }
+
   Result<Dtd> reference_dtd = reference.InferDtd();
   if (!reference_dtd.ok()) {
     return OracleResult::Fail("reference inference failed: " +
@@ -505,15 +573,24 @@ OracleResult CheckIngestionEquivalence(
   std::string reference_text =
       WriteDtd(reference_dtd.value(), *reference.alphabet());
 
-  ParallelDtdInferrer parallel(options, jobs);
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  engine_options.jobs = jobs;
+  IngestEngine parallel(engine_options);
   for (const std::string& doc : documents) parallel.AddXml(doc);
-  Result<Dtd> parallel_dtd = parallel.InferDtd();
+  Status folded = parallel.Finish();
+  if (!folded.ok()) {
+    return OracleResult::Fail("parallel ingestion failed: " +
+                              folded.ToString());
+  }
+  Result<Dtd> parallel_dtd =
+      parallel.inferrer().InferDtd(parallel.infer_threads());
   if (!parallel_dtd.ok()) {
     return OracleResult::Fail("parallel inference failed: " +
                               parallel_dtd.status().ToString());
   }
   std::string parallel_text =
-      WriteDtd(parallel_dtd.value(), *parallel.merged()->alphabet());
+      WriteDtd(parallel_dtd.value(), *parallel.inferrer().alphabet());
   if (parallel_text != reference_text) {
     return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
                               ") DTD differs from the reference fold's:\n" +

@@ -117,10 +117,14 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
 ///    a zero-count cache entry whose position shifts the flush order
 ///    (the DTD is unaffected, SaveState is not), and a truncation
 ///    completes only words its own clean document completes first;
-///  * the sharded ParallelDtdInferrer with `jobs` threads must emit a
-///    byte-identical DTD over the clean documents. Only the DTD: each
-///    shard keeps its own first `max_text_samples` text samples, so the
-///    merged SaveState may differ.
+///  * IngestEngine at one job must reach the same SaveState text twice:
+///    with the broken documents interleaved, each reported in errors()
+///    at its submission index, and with the reference fold's state over
+///    the first half of the documents loaded ahead of the rest;
+///  * IngestEngine with `jobs` threads must emit a byte-identical DTD
+///    over the clean documents. Only the DTD: each shard keeps its own
+///    first `max_text_samples` text samples, so the merged SaveState may
+///    differ.
 OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
     const std::vector<std::string>& broken_documents,

@@ -45,10 +45,11 @@ struct InferenceOptions {
   /// end tags are repaired instead of rejected) — for corpora like the
   /// paper's XHTML crawl where 89% of documents are not well-formed.
   bool lenient_xml = false;
-  /// Documents per scheduler batch in ParallelDtdInferrer: workers pull
-  /// whole batches from the work-stealing deque, so this trades hand-off
-  /// overhead (small batches) against load-balance granularity (large
-  /// batches). The inferred DTD is identical at any value.
+  /// Documents per IngestEngine batch: workers pull whole batches from
+  /// the work-stealing deque, so this trades hand-off overhead (small
+  /// batches) against load-balance granularity (large batches). At one
+  /// job a batch folds on the calling thread once full. The inferred
+  /// DTD is identical at any value.
   int batch_docs = 32;
 };
 

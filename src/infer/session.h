@@ -35,8 +35,8 @@ namespace condtd {
 /// corpus across cores (per-corpus ordering is what makes replay
 /// deterministic). Cross-corpus parallelism comes from the daemon's
 /// worker pool running many sessions; batch-corpus parallelism from
-/// IngestEngine (infer/engine.h), which shards across threads and whose
-/// merged inferrer a session can adopt via MergeFrom.
+/// IngestEngine (infer/engine.h), which shards across its `jobs`
+/// threads and whose merged inferrer a session can adopt via MergeFrom.
 ///
 /// Summaries move between inferrers in memory only through
 /// DtdInferrer::MergeFrom; the SaveState text is for bytes that leave

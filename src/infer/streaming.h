@@ -48,10 +48,10 @@ namespace condtd {
 /// Byte identity: text samples are taken at each element's end tag and
 /// cache entries flush in first-occurrence order, so the SaveState text
 /// equals that of the reference DOM-walk fold in src/check/ — the
-/// ingestion oracle checks it byte for byte. Only ParallelDtdInferrer's
-/// shards differ: each keeps its own first `max_text_samples` samples,
-/// so their merged SaveState (never the DTD) can differ on
-/// heterogeneous text.
+/// ingestion oracle checks it byte for byte, also for IngestEngine at
+/// one job. Only IngestEngine's shards at several jobs differ: each
+/// keeps its own first `max_text_samples` samples, so their merged
+/// SaveState (never the DTD) can differ on heterogeneous text.
 class StreamingFolder {
  public:
   struct Options {
@@ -81,8 +81,8 @@ class StreamingFolder {
   /// Abandons the document currently in flight (if any): rolls back its
   /// dedup-cache increments and clears the open-frame stack, exactly as
   /// a parse failure would. For callers that interrupt `AddXml` from the
-  /// outside — the parallel worker pool calls this after containing an
-  /// exception thrown mid-ingestion, so the failed document cannot leak
+  /// outside — IngestEngine calls this after containing an exception
+  /// thrown mid-ingestion, so the failed document cannot leak
   /// half-folded words into the shard at the next Flush().
   void AbortDocument() { ResetDocument(); }
 

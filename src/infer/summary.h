@@ -101,7 +101,7 @@ struct ElementSummary {
 /// plus the corpus-level root counts and seen-as-child marks, with the
 /// shard-merge algebra and the versioned persistence format in one
 /// place. DtdInferrer owns one; StreamingFolder folds into it directly;
-/// ParallelDtdInferrer merges shard stores through it.
+/// IngestEngine merges shard stores through it.
 class SummaryStore {
  public:
   explicit SummaryStore(SummaryLimits limits = {});

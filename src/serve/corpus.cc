@@ -131,7 +131,7 @@ Status Corpus::RecoverLocked() {
 
   // Rebuild the acknowledged state: base snapshot, then the journal's
   // documents in order, through the shared batch ingestion engine (at
-  // replay_jobs == 1 a plain sequential fold; the merge is
+  // replay_jobs == 1 every batch folds on this thread; the DTD is
   // byte-identical at any job count).
   IngestEngine::Options engine_options;
   engine_options.inference = options_.inference;
@@ -231,8 +231,12 @@ Status Corpus::Ingest(std::string_view doc) {
     }
   }
   obs::SchedAdd(obs::SchedCounter::kServeIngestRequests, 1);
-  obs::GaugeMax(obs::Gauge::kCorpusBytesPeak,
-                static_cast<int64_t>(session_.ApproxBytes()));
+  // ApproxBytes walks the whole state under the session lock; a disabled
+  // gauge must not pay for it.
+  if (obs::StatsEnabled()) {
+    obs::GaugeMax(obs::Gauge::kCorpusBytesPeak,
+                  static_cast<int64_t>(session_.ApproxBytes()));
+  }
   std::lock_guard<std::mutex> lock(stats_mu_);
   ingest_latency_.Record(NowNs() - start_ns);
   return status;

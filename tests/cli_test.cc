@@ -119,6 +119,14 @@ TEST_F(CliTest, StatePipelineMatchesOneShot) {
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
   oneshot = RunCli("infer " + d1 + " " + d2 + " " + e1);
   EXPECT_EQ(resumed.output, oneshot.output);
+
+  // Sharded: the state loads into the first shard, ahead of every
+  // document, and the merge still declares the one-shot DTD.
+  resumed = RunCli("infer --jobs=3 --batch-docs=1 --state-in=" + state +
+                   " " + e1 + " " + d1);
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+  oneshot = RunCli("infer " + d1 + " " + d2 + " " + e1 + " " + d1);
+  EXPECT_EQ(resumed.output, oneshot.output);
 }
 
 TEST_F(CliTest, ValidateCatchesViolations) {
@@ -332,10 +340,15 @@ TEST_F(CliTest, StatsFlagEmitsReportWithoutChangingTheSchema) {
 }
 
 TEST_F(CliTest, StatsCountersSubtreeIsIdenticalAcrossJobs) {
+  // Returns the `counters` subtree; also requires every job count to
+  // open each of the two input files inside an io_read span.
   auto counters_of = [&](const std::string& jobs_flag) {
     CommandResult result =
         RunCli("infer --stats=json " + jobs_flag + " " + xml1_ + " " + xml2_);
     EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("\"io_read\": {\"count\": 2,"),
+              std::string::npos)
+        << jobs_flag << ": " << result.output;
     size_t start = result.output.find("\"counters\": {");
     size_t end = result.output.find('}', start);
     EXPECT_NE(start, std::string::npos) << result.output;

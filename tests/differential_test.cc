@@ -15,7 +15,6 @@
 #include "dtd/dtd_writer.h"
 #include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "infer/streaming.h"
 #include "regex/properties.h"
 
@@ -150,11 +149,15 @@ Result<std::string> StreamingDtd(const std::vector<std::string>& docs,
 
 Result<std::string> ShardedDtd(const std::vector<std::string>& docs,
                                const std::string& learner, int jobs) {
-  ParallelDtdInferrer inferrer(OptionsFor(learner), jobs);
-  for (const std::string& doc : docs) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
+  IngestEngine::Options options;
+  options.inference = OptionsFor(learner);
+  options.jobs = jobs;
+  IngestEngine engine(options);
+  for (const std::string& doc : docs) engine.AddXml(doc);
+  CONDTD_RETURN_IF_ERROR(engine.Finish());
+  Result<Dtd> dtd = engine.inferrer().InferDtd(engine.infer_threads());
   if (!dtd.ok()) return dtd.status();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return WriteDtd(dtd.value(), *engine.inferrer().alphabet());
 }
 
 // Runs every ingestion path and requires the identical outcome.

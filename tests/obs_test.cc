@@ -12,8 +12,8 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "infer/streaming.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -70,15 +70,19 @@ std::vector<std::string> GenerateCorpus(int count, uint64_t seed) {
   return documents;
 }
 
-/// Runs the full sharded pipeline (ingest + infer + DTD emit) and
+/// Runs the full batch pipeline (ingest + infer + DTD emit) and
 /// returns the DTD text; the caller reads the registry afterwards.
 std::string RunPipeline(const std::vector<std::string>& documents,
                         int num_threads) {
-  ParallelDtdInferrer inferrer(InferenceOptions{}, num_threads);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
+  IngestEngine::Options options;
+  options.jobs = num_threads;
+  IngestEngine engine(options);
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Result<Dtd> dtd = engine.inferrer().InferDtd(engine.infer_threads());
   EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return WriteDtd(dtd.value(), *engine.inferrer().alphabet());
 }
 
 /// Extracts the text of `"key": {...}` (with its nested braces) from a

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -16,8 +17,8 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "tests/testing.h"
 
 namespace condtd {
@@ -171,13 +172,32 @@ std::string SequentialDtd(const std::vector<std::string>& documents) {
   return WriteDtd(dtd.value(), *inferrer.alphabet());
 }
 
+IngestEngine::Options JobsOptions(int jobs, InferenceOptions inference = {}) {
+  IngestEngine::Options options;
+  options.inference = std::move(inference);
+  options.jobs = jobs;
+  return options;
+}
+
+/// Finishes `engine` and renders the DTD of its merged inferrer.
+std::string EngineDtd(IngestEngine* engine) {
+  Status status = engine->Finish();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Result<Dtd> dtd = engine->inferrer().InferDtd(engine->infer_threads());
+  EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
+  return WriteDtd(dtd.value(), *engine->inferrer().alphabet());
+}
+
 std::string ParallelDtd(const std::vector<std::string>& documents,
                         int num_threads) {
-  ParallelDtdInferrer inferrer(InferenceOptions{}, num_threads);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
-  EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  IngestEngine engine(JobsOptions(num_threads));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  return EngineDtd(&engine);
+}
+
+int64_t FeedWordCount(IngestEngine* engine) {
+  DtdInferrer& merged = engine->inferrer();
+  return merged.WordCount(merged.alphabet()->Find("feed"));
 }
 
 // --- determinism ----------------------------------------------------------
@@ -222,17 +242,17 @@ TEST(ParallelInferrer, ReportsParseErrorsByDocumentIndex) {
   std::vector<std::string> documents = GenerateCorpus(20, 5);
   documents[7] = "<broken><unclosed></broken>";
   documents[13] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
-  EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 13);
-  // The merged state still holds every clean document.
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
-            18);
+  for (int jobs : {1, 3}) {
+    IngestEngine engine(JobsOptions(jobs));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    Status status = engine.Finish();
+    EXPECT_FALSE(status.ok());
+    ASSERT_EQ(engine.errors().size(), 2u) << "jobs " << jobs;
+    EXPECT_EQ(engine.errors()[0].doc_index, 7);
+    EXPECT_EQ(engine.errors()[1].doc_index, 13);
+    // The merged state still holds every clean document.
+    EXPECT_EQ(FeedWordCount(&engine), 18) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelInferrer, AggregatesAllDocumentErrors) {
@@ -240,14 +260,14 @@ TEST(ParallelInferrer, AggregatesAllDocumentErrors) {
   documents[2] = "<broken><unclosed></broken>";
   documents[5] = "not xml at all";
   documents[9] = "<feed><entry></feed>";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 4);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(JobsOptions(4));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 3u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 2);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 5);
-  EXPECT_EQ(inferrer.errors()[2].doc_index, 9);
+  ASSERT_EQ(engine.errors().size(), 3u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 2);
+  EXPECT_EQ(engine.errors()[1].doc_index, 5);
+  EXPECT_EQ(engine.errors()[2].doc_index, 9);
   // The aggregate status names the failure count and the first failing
   // document, not just the front error's message.
   EXPECT_NE(status.message().find("3 documents failed"), std::string::npos)
@@ -255,18 +275,18 @@ TEST(ParallelInferrer, AggregatesAllDocumentErrors) {
   EXPECT_NE(status.message().find("document 2"), std::string::npos)
       << status.ToString();
   // Finish is idempotent and keeps reporting the same aggregate.
-  EXPECT_EQ(inferrer.Finish().message(), status.message());
+  EXPECT_EQ(engine.Finish().message(), status.message());
 }
 
 TEST(ParallelInferrer, SingleFailureKeepsThatDocumentsStatus) {
   std::vector<std::string> documents = GenerateCorpus(8, 10);
   documents[3] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(JobsOptions(3));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 1u);
-  EXPECT_EQ(status.message(), inferrer.errors().front().status.message());
+  ASSERT_EQ(engine.errors().size(), 1u);
+  EXPECT_EQ(status.message(), engine.errors().front().status.message());
   EXPECT_EQ(status.message().find("documents failed"), std::string::npos)
       << status.ToString();
 }
@@ -274,37 +294,36 @@ TEST(ParallelInferrer, SingleFailureKeepsThatDocumentsStatus) {
 /// Installs a throwing ingest fault for the test's duration; the
 /// destructor uninstalls it even when an assertion fails first.
 struct ScopedIngestFault {
-  explicit ScopedIngestFault(ParallelDtdInferrer::IngestFault fault) {
-    ParallelDtdInferrer::SetIngestFaultForTest(fault);
+  explicit ScopedIngestFault(IngestEngine::IngestFault fault) {
+    IngestEngine::SetIngestFaultForTest(fault);
   }
-  ~ScopedIngestFault() {
-    ParallelDtdInferrer::SetIngestFaultForTest(nullptr);
-  }
+  ~ScopedIngestFault() { IngestEngine::SetIngestFaultForTest(nullptr); }
 };
 
 TEST(ParallelInferrer, SurvivesWorkerExceptions) {
   std::vector<std::string> documents = GenerateCorpus(20, 77);
-  // Without the worker pool's containment these would escape the thread
-  // entry point and std::terminate the whole process.
+  // Without the containment these would escape a worker's thread entry
+  // point and std::terminate the whole process, or escape the caller at
+  // one job.
   ScopedIngestFault fault(+[](int64_t doc_index) {
     if (doc_index == 5) throw std::bad_alloc();
     if (doc_index == 11) throw std::length_error("simulated oversize");
   });
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
-  EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 5);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 11);
-  EXPECT_EQ(inferrer.errors()[0].status.code(), StatusCode::kInternal);
-  EXPECT_NE(inferrer.errors()[1].status.message().find("simulated oversize"),
-            std::string::npos)
-      << inferrer.errors()[1].status.ToString();
-  // Every other document folded; the failed ones contributed nothing.
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
-            18);
+  for (int jobs : {1, 3}) {
+    IngestEngine engine(JobsOptions(jobs));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    Status status = engine.Finish();
+    EXPECT_FALSE(status.ok());
+    ASSERT_EQ(engine.errors().size(), 2u) << "jobs " << jobs;
+    EXPECT_EQ(engine.errors()[0].doc_index, 5);
+    EXPECT_EQ(engine.errors()[1].doc_index, 11);
+    EXPECT_EQ(engine.errors()[0].status.code(), StatusCode::kInternal);
+    EXPECT_NE(engine.errors()[1].status.message().find("simulated oversize"),
+              std::string::npos)
+        << engine.errors()[1].status.ToString();
+    // Every other document folded; the failed ones contributed nothing.
+    EXPECT_EQ(FeedWordCount(&engine), 18) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelInferrer, WorkerExceptionsDoNotPerturbSurvivingDocuments) {
@@ -319,16 +338,36 @@ TEST(ParallelInferrer, WorkerExceptionsDoNotPerturbSurvivingDocuments) {
   ScopedIngestFault fault(+[](int64_t doc_index) {
     if (doc_index % 10 == 7) throw std::runtime_error("injected");
   });
-  for (int shards : {2, 5}) {
-    ParallelDtdInferrer inferrer(InferenceOptions{}, shards);
-    for (const std::string& doc : documents) inferrer.AddXml(doc);
-    EXPECT_FALSE(inferrer.Finish().ok());
-    EXPECT_EQ(inferrer.errors().size(), 6u);
-    Result<Dtd> dtd = inferrer.merged()->InferDtd();
+  for (int shards : {1, 2, 5}) {
+    IngestEngine engine(JobsOptions(shards));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    EXPECT_FALSE(engine.Finish().ok());
+    EXPECT_EQ(engine.errors().size(), 6u);
+    Result<Dtd> dtd = engine.inferrer().InferDtd();
     ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-    EXPECT_EQ(WriteDtd(dtd.value(), *inferrer.merged()->alphabet()),
-              expected)
+    EXPECT_EQ(WriteDtd(dtd.value(), *engine.inferrer().alphabet()), expected)
         << "shard count " << shards;
+  }
+}
+
+TEST(ParallelInferrer, LoadStateOnlyPrecedesTheFirstDocument) {
+  std::vector<std::string> documents = GenerateCorpus(40, 808);
+  const std::vector<std::string> prefix(documents.begin(),
+                                        documents.begin() + 15);
+  const std::vector<std::string> rest(documents.begin() + 15,
+                                      documents.end());
+  DtdInferrer saved;
+  for (const std::string& doc : prefix) ASSERT_TRUE(saved.AddXml(doc).ok());
+  const std::string state = saved.SaveState();
+  const std::string expected = SequentialDtd(documents);
+  for (int jobs : {1, 3}) {
+    IngestEngine engine(JobsOptions(jobs));
+    ASSERT_TRUE(engine.LoadState(state).ok());
+    for (const std::string& doc : rest) engine.AddXml(doc);
+    EXPECT_EQ(engine.LoadState(state).code(),
+              StatusCode::kFailedPrecondition)
+        << "jobs " << jobs;
+    EXPECT_EQ(EngineDtd(&engine), expected) << "jobs " << jobs;
   }
 }
 
@@ -391,17 +430,15 @@ std::string BatchedDtd(const std::vector<std::string>& documents,
                        int num_threads, int batch_docs, bool borrowed) {
   InferenceOptions options;
   options.batch_docs = batch_docs;
-  ParallelDtdInferrer inferrer(options, num_threads);
+  IngestEngine engine(JobsOptions(num_threads, options));
   for (const std::string& doc : documents) {
     if (borrowed) {
-      inferrer.AddBorrowedXml(doc);
+      engine.AddBorrowedXml(doc);
     } else {
-      inferrer.AddXml(doc);
+      engine.AddXml(doc);
     }
   }
-  Result<Dtd> dtd = inferrer.InferDtd();
-  EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return EngineDtd(&engine);
 }
 
 TEST(BatchScheduler, BatchSizeNeverChangesTheDtd) {
@@ -438,12 +475,12 @@ TEST(BatchScheduler, ErrorIndicesSurviveBatching) {
   for (int batch : {1, 4, 64}) {
     InferenceOptions options;
     options.batch_docs = batch;
-    ParallelDtdInferrer inferrer(options, 3);
-    for (const std::string& doc : documents) inferrer.AddXml(doc);
-    EXPECT_FALSE(inferrer.Finish().ok());
-    ASSERT_EQ(inferrer.errors().size(), 2u) << "batch " << batch;
-    EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-    EXPECT_EQ(inferrer.errors()[1].doc_index, 31);
+    IngestEngine engine(JobsOptions(3, options));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    EXPECT_FALSE(engine.Finish().ok());
+    ASSERT_EQ(engine.errors().size(), 2u) << "batch " << batch;
+    EXPECT_EQ(engine.errors()[0].doc_index, 7);
+    EXPECT_EQ(engine.errors()[1].doc_index, 31);
   }
 }
 

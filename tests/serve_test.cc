@@ -324,45 +324,51 @@ TEST(Corpus, RecoversFromJournalAloneAfterCrash) {
 }
 
 TEST(Corpus, RecoversFromSnapshotPlusJournal) {
-  TempDir dir;
-  serve::Corpus::Options options;
-  options.data_dir = dir.path();
-  options.fsync_journal = false;
-
   std::vector<std::string> docs = MixedDocs(8);
   constexpr size_t kSnapshotAt = 5;
-
-  {
-    Result<std::unique_ptr<serve::Corpus>> corpus =
-        serve::Corpus::Open("lib", options);
-    ASSERT_TRUE(corpus.ok());
-    for (size_t i = 0; i < docs.size(); ++i) {
-      if (i == kSnapshotAt) {
-        ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
+  for (int replay_jobs : {1, 3}) {
+    SCOPED_TRACE("replay_jobs " + std::to_string(replay_jobs));
+    TempDir dir;
+    serve::Corpus::Options options;
+    options.data_dir = dir.path();
+    options.fsync_journal = false;
+    {
+      Result<std::unique_ptr<serve::Corpus>> corpus =
+          serve::Corpus::Open("lib", options);
+      ASSERT_TRUE(corpus.ok());
+      for (size_t i = 0; i < docs.size(); ++i) {
+        if (i == kSnapshotAt) {
+          ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
+        }
+        ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
       }
-      ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
     }
+
+    // Recovery loads the snapshot into the engine ahead of the replayed
+    // journal, at every job count.
+    options.replay_jobs = replay_jobs;
+    Result<std::unique_ptr<serve::Corpus>> recovered =
+        serve::Corpus::Open("lib", options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    serve::CorpusStats stats = (*recovered)->GetStats();
+    EXPECT_EQ(stats.generation, 1);
+    // Only the post-snapshot tail is replayed.
+    EXPECT_EQ(stats.replayed_documents,
+              static_cast<int64_t>(docs.size() - kSnapshotAt));
+
+    Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
+    ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+    EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
+
+    // At one job the next snapshot file holds the batch state, byte for
+    // byte (more shards may keep other text samples).
+    if (replay_jobs != 1) continue;
+    ASSERT_TRUE((*recovered)->WriteSnapshot().ok());
+    Result<std::string> snapshot =
+        ReadFileToString(dir.path() + "/lib/snapshot-2.state");
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    EXPECT_EQ(*snapshot, PrefixState(docs, docs.size()));
   }
-
-  Result<std::unique_ptr<serve::Corpus>> recovered =
-      serve::Corpus::Open("lib", options);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  serve::CorpusStats stats = (*recovered)->GetStats();
-  EXPECT_EQ(stats.generation, 1);
-  // Only the post-snapshot tail is replayed.
-  EXPECT_EQ(stats.replayed_documents,
-            static_cast<int64_t>(docs.size() - kSnapshotAt));
-
-  Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
-  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-  EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
-
-  // The next snapshot file holds the batch state, byte for byte.
-  ASSERT_TRUE((*recovered)->WriteSnapshot().ok());
-  Result<std::string> snapshot =
-      ReadFileToString(dir.path() + "/lib/snapshot-2.state");
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_EQ(*snapshot, PrefixState(docs, docs.size()));
 }
 
 TEST(Corpus, TornJournalTailRecoversAcknowledgedPrefix) {
@@ -477,6 +483,29 @@ TEST(Corpus, MemoryCapRefusesFurtherIngestion) {
       serve::Corpus::Open("lib2", roomy);
   ASSERT_TRUE(ok_corpus.ok());
   EXPECT_TRUE((*ok_corpus)->Ingest(Doc(0)).ok());
+}
+
+TEST(Corpus, CorpusBytesGaugeFollowsTheStatsSwitch) {
+  // The gauge walks the whole retained state, so INGEST reads it only
+  // while the registry collects; then it holds the retained bytes.
+  Result<std::unique_ptr<serve::Corpus>> corpus =
+      serve::Corpus::Open("lib", serve::Corpus::Options());
+  ASSERT_TRUE(corpus.ok());
+  auto gauge = [] {
+    return obs::SnapshotStats()
+        .gauges[static_cast<int>(obs::Gauge::kCorpusBytesPeak)];
+  };
+  obs::EnableStats(false);
+  obs::ResetStats();
+  ASSERT_TRUE((*corpus)->Ingest(Doc(0)).ok());
+  EXPECT_EQ(gauge(), 0);
+#ifndef CONDTD_NO_STATS
+  obs::EnableStats(true);
+  obs::ResetStats();
+  ASSERT_TRUE((*corpus)->Ingest(Doc(1)).ok());
+  EXPECT_EQ(gauge(), (*corpus)->GetStats().approx_bytes);
+  obs::EnableStats(false);
+#endif
 }
 
 TEST(Corpus, XsdQueryAndAlgorithmOverride) {

@@ -11,8 +11,8 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "infer/streaming.h"
 #include "tests/testing.h"
 #include "xml/parser.h"
@@ -187,11 +187,16 @@ std::string StreamingDtd(const std::vector<std::string>& documents,
 
 std::string ParallelDtd(const std::vector<std::string>& documents,
                         int num_threads, InferenceOptions options = {}) {
-  ParallelDtdInferrer inferrer(options, num_threads);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  engine_options.jobs = num_threads;
+  IngestEngine engine(engine_options);
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Result<Dtd> dtd = engine.inferrer().InferDtd(engine.infer_threads());
   EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return WriteDtd(dtd.value(), *engine.inferrer().alphabet());
 }
 
 /// The fold contract: the streaming fold (corpus-level, per-call, tiny
@@ -313,15 +318,17 @@ TEST(StreamingErrors, ParallelStreamingKeepsErrorReporting) {
   std::vector<std::string> documents = GenerateCorpus(20, 5);
   documents[7] = "<broken><unclosed></broken>";
   documents[13] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine::Options options;
+  options.jobs = 3;
+  IngestEngine engine(options);
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 13);
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
+  ASSERT_EQ(engine.errors().size(), 2u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 7);
+  EXPECT_EQ(engine.errors()[1].doc_index, 13);
+  EXPECT_EQ(engine.inferrer().WordCount(
+                engine.inferrer().alphabet()->Find("feed")),
             18);
 }
 

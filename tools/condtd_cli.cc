@@ -7,9 +7,9 @@
 //                             rewrite, and the Section 8 baselines
 //                             trang and xtract)
 //       --noise=N             support threshold for noisy data
-//       --jobs=N              ingest and infer on N threads (sharded
-//                             pipeline; output identical to N=1;
-//                             0 = hardware concurrency)
+//       --jobs=N              ingest and infer on N >= 1 threads
+//                             (sharded pipeline; output identical to
+//                             the default N=1, which spawns no thread)
 //       --out=FILE            write the schema to FILE instead of stdout
 //       --state-in=FILE       resume from a saved summary state
 //       --state-out=FILE      save the summary state after folding
@@ -227,10 +227,10 @@ int RunInfer(const std::vector<std::string>& args) {
     obs::GaugeSet(obs::Gauge::kJobs, jobs);
   }
 
-  // One ingestion engine for every job count: --jobs=1 runs the
-  // streaming fold sequentially, anything else runs the sharded
-  // pipeline. The inferred schema is byte-identical either way, so the
-  // flag is purely about throughput.
+  // One batch engine for every job count: --jobs only sets how many
+  // threads fold and merge the shards (1 spawns none). The inferred
+  // schema is byte-identical at any value, so the flag is purely about
+  // throughput.
   IngestEngine::Options engine_options;
   engine_options.inference = options;
   engine_options.input = input_options;
@@ -252,7 +252,7 @@ int RunInfer(const std::vector<std::string>& args) {
   }
   for (const std::string& path : files) {
     // Path-only hand-off: the engine opens the file itself (mmap or
-    // buffered; worker-side in sharded mode, overlapping I/O with
+    // buffered; worker-side with several jobs, overlapping I/O with
     // parsing). Failures surface through errors() after Finish().
     engine.AddFile(path);
   }
