@@ -1,7 +1,6 @@
 #include "gfa/gfa.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "regex/properties.h"
 
@@ -147,40 +146,55 @@ Gfa::Closure Gfa::ComputeClosure() const {
   int n = static_cast<int>(labels_.size());
   closure.pred.resize(n);
   closure.succ.resize(n);
+  std::vector<char> nullable(n);
+  for (int v = 0; v < n; ++v) nullable[v] = NodeNullable(v);
 
-  auto connect = [&](int u, int v) {
-    closure.succ[u].insert(v);
-    closure.pred[v].insert(u);
-  };
-
+  // visited[w] == u marks w as already in succ[u]; one buffer serves
+  // every row.
+  std::vector<int> visited(n, -1);
   for (int u = 0; u < n; ++u) {
     if (!alive_[u]) continue;
     // Rule (ii) incl. direct edges: BFS that only continues through
-    // nullable intermediate nodes.
-    std::vector<bool> visited(n, false);
-    std::queue<int> frontier;
-    for (int to : out_[u]) {
-      if (!visited[to]) {
-        visited[to] = true;
-        frontier.push(to);
+    // nullable intermediate nodes. The row doubles as the BFS queue.
+    std::vector<int>& row = closure.succ[u];
+    auto visit = [&](int w) {
+      if (visited[w] != u) {
+        visited[w] = u;
+        row.push_back(w);
       }
-    }
-    while (!frontier.empty()) {
-      int w = frontier.front();
-      frontier.pop();
-      connect(u, w);
-      if (!NodeNullable(w)) continue;
-      for (int to : out_[w]) {
-        if (!visited[to]) {
-          visited[to] = true;
-          frontier.push(to);
-        }
-      }
+    };
+    for (int to : out_[u]) visit(to);
+    for (size_t i = 0; i < row.size(); ++i) {
+      int w = row[i];
+      if (!nullable[w]) continue;
+      for (int to : out_[w]) visit(to);
     }
     // Rule (i): virtual self-loop for s+ / (s+)? labels.
-    if (HasVirtualSelfLoop(u)) connect(u, u);
+    if (HasVirtualSelfLoop(u)) visit(u);
+    std::sort(row.begin(), row.end());
+  }
+  // Transposing in ascending u leaves every pred row sorted.
+  for (int u = 0; u < n; ++u) {
+    for (int v : closure.succ[u]) closure.pred[v].push_back(u);
   }
   return closure;
+}
+
+bool Gfa::SameAs(const Gfa& other) const {
+  if (alive_ != other.alive_ || out_ != other.out_ ||
+      support_ != other.support_) {
+    return false;
+  }
+  for (size_t v = 0; v < labels_.size(); ++v) {
+    const ReRef& a = labels_[v];
+    const ReRef& b = other.labels_[v];
+    if (a == nullptr || b == nullptr) {
+      if (a != b) return false;
+    } else if (!StructurallyEqual(a, b, /*commutative_disj=*/false)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string Gfa::ToString(const Alphabet& alphabet) const {

@@ -1,6 +1,7 @@
 #ifndef CONDTD_GFA_GFA_H_
 #define CONDTD_GFA_GFA_H_
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -67,10 +68,16 @@ class Gfa {
   /// ε-closure E* of Section 5: real edges, plus virtual self-loops on
   /// nodes labeled s+ or (s+)? (rule (i)), plus pairs connected by a real
   /// path whose intermediate nodes all have nullable labels (rule (ii)).
-  /// pred[v] / succ[v] are over E*.
+  /// pred[v] / succ[v] are over E*, one row per node id, each sorted
+  /// ascending without duplicates (rows of dead nodes are empty).
   struct Closure {
-    std::vector<std::set<int>> pred;
-    std::vector<std::set<int>> succ;
+    std::vector<std::vector<int>> pred;
+    std::vector<std::vector<int>> succ;
+
+    /// (u, v) ∈ E*?
+    bool Connects(int u, int v) const {
+      return std::binary_search(succ[u].begin(), succ[u].end(), v);
+    }
   };
   Closure ComputeClosure() const;
 
@@ -79,6 +86,11 @@ class Gfa {
 
   /// Rule (i) of the closure: label has shape s+, (s+)? or s*.
   bool HasVirtualSelfLoop(int v) const;
+
+  /// Exact equality of two states of one rewriting run: the same node
+  /// ids and liveness, real edges and edge supports, and structurally
+  /// equal labels (a rule may rebuild an equal label as a new node).
+  bool SameAs(const Gfa& other) const;
 
   /// Debug rendering.
   std::string ToString(const Alphabet& alphabet) const;

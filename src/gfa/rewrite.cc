@@ -95,22 +95,20 @@ bool ApplyConcatenationRule(Gfa* gfa) {
 
 namespace {
 
-/// Set equality after removing the candidate pair {u, v} from both sides.
-bool EqualExcluding(const std::set<int>& a, const std::set<int>& b, int u,
-                    int v) {
-  auto next = [&](std::set<int>::const_iterator it,
-                  const std::set<int>& s) {
-    while (it != s.end() && (*it == u || *it == v)) ++it;
-    return it;
-  };
-  auto ia = next(a.begin(), a);
-  auto ib = next(b.begin(), b);
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia != *ib) return false;
-    ia = next(++ia, a);
-    ib = next(++ib, b);
+/// Equality of two sorted closure rows after removing the candidate
+/// pair {u, v} from both.
+bool EqualExcluding(const std::vector<int>& a, const std::vector<int>& b,
+                    int u, int v) {
+  const int* ia = a.data();
+  const int* ib = b.data();
+  const int* const end_a = ia + a.size();
+  const int* const end_b = ib + b.size();
+  while (true) {
+    while (ia != end_a && (*ia == u || *ia == v)) ++ia;
+    while (ib != end_b && (*ib == u || *ib == v)) ++ib;
+    if (ia == end_a || ib == end_b) return ia == end_a && ib == end_b;
+    if (*ia++ != *ib++) return false;
   }
-  return next(ia, a) == a.end() && next(ib, b) == b.end();
 }
 
 }  // namespace
@@ -130,10 +128,10 @@ bool ApplyDisjunctionRule(Gfa* gfa) {
       int v = live[j];
       if (!EqualExcluding(closure.pred[u], closure.pred[v], u, v)) continue;
       if (!EqualExcluding(closure.succ[u], closure.succ[v], u, v)) continue;
-      bool uv = closure.succ[u].count(v) > 0;
-      bool vu = closure.succ[v].count(u) > 0;
-      bool uu = closure.succ[u].count(u) > 0;
-      bool vv = closure.succ[v].count(v) > 0;
+      bool uv = closure.Connects(u, v);
+      bool vu = closure.Connects(v, u);
+      bool uu = closure.Connects(u, u);
+      bool vv = closure.Connects(v, v);
       bool mutually = uv && vu && uu && vv;  // case (ii), incl. self pairs
       if (!mutually && (uv || vu)) continue;  // one-sided: no rule applies
 
@@ -184,7 +182,7 @@ bool ApplyRedundantSkipEdgeRule(Gfa* gfa) {
         if (w == s || w == p || !gfa->IsAlive(w) || !gfa->NodeNullable(w)) {
           continue;
         }
-        if (closure.succ[w].count(s) > 0) {
+        if (closure.Connects(w, s)) {
           gfa->RemoveEdge(p, s);
           return true;
         }
@@ -198,8 +196,8 @@ bool ApplyOptionalRule(Gfa* gfa) {
   Gfa::Closure closure = gfa->ComputeClosure();
   for (int r : gfa->LiveNodes()) {
     if (gfa->NodeNullable(r)) continue;  // r? would be superfluous
-    const std::set<int>& preds = closure.pred[r];
-    const std::set<int>& succs = closure.succ[r];
+    const std::vector<int>& preds = closure.pred[r];
+    const std::vector<int>& succs = closure.succ[r];
     if (preds.empty()) continue;
     bool applicable = true;
     bool has_external_pred = false;

@@ -95,9 +95,7 @@ Result<ReRef> IdtdFromSoa(const Soa& input, const IdtdOptions& options) {
   RewriteFixpoint(&gfa);
 
   int k = options.initial_k;
-  int budget = options.max_repair_steps > 0
-                   ? options.max_repair_steps
-                   : 4 * soa.NumStates() * soa.NumStates() + 64;
+  const int budget = 4 * soa.NumStates() * soa.NumStates() + 64;
   int steps = 0;
   obs::StageSpan repair_span(obs::Stage::kRepair);
   while (!gfa.IsFinal()) {
@@ -112,35 +110,35 @@ Result<ReRef> IdtdFromSoa(const Soa& input, const IdtdOptions& options) {
       RewriteFixpoint(&gfa);
       break;
     }
+    const Gfa before = gfa;
     if (options.noise_edge_threshold > 0 &&
         TryRemoveNoisyEdge(&gfa, options.noise_edge_threshold)) {
       obs::CounterAdd(obs::Counter::kNoisyEdgesDropped, 1);
-      RewriteFixpoint(&gfa);
-      continue;
-    }
-    if (options.enable_disjunction_repair && EnableDisjunction(&gfa, k)) {
+    } else if (options.enable_disjunction_repair &&
+               EnableDisjunction(&gfa, k)) {
       obs::CounterAdd(obs::Counter::kRepairDisjunctions, 1);
-      RewriteFixpoint(&gfa);
-      continue;
-    }
-    if (options.enable_optional_repair && EnableOptional(&gfa, k)) {
+    } else if (options.enable_optional_repair && EnableOptional(&gfa, k)) {
       obs::CounterAdd(obs::Counter::kRepairOptionals, 1);
-      RewriteFixpoint(&gfa);
-      continue;
-    }
-    if (k < options.max_k) {
+    } else if (k < options.max_k) {
       ++k;
       continue;
+    } else {
+      if (!options.enable_full_merge_fallback) {
+        return Status::NoEquivalentSore(
+            "iDTD (restricted): no repair rule applies at k <= " +
+            std::to_string(options.max_k));
+      }
+      obs::CounterAdd(obs::Counter::kRepairFallbacks, 1);
+      FullMergeFallback(&gfa);
+      RewriteFixpoint(&gfa);
+      break;
     }
-    if (!options.enable_full_merge_fallback) {
-      return Status::NoEquivalentSore(
-          "iDTD (restricted): no repair rule applies at k <= " +
-          std::to_string(options.max_k));
-    }
-    obs::CounterAdd(obs::Counter::kRepairFallbacks, 1);
-    FullMergeFallback(&gfa);
     RewriteFixpoint(&gfa);
-    break;
+    // A round is a function of (gfa, k). One that leaves both as it
+    // found them (k only changes above) repeats unchanged until the
+    // budget runs out, so skip to that exit: the next iteration takes it
+    // on this same GFA, as the budgeted loop would.
+    if (gfa.SameAs(before)) steps = budget;
   }
   if (!gfa.IsFinal()) {
     return Status::Internal(

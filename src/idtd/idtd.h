@@ -15,15 +15,13 @@ struct IdtdOptions {
   /// fixes k = 2; ours escalates up to max_k before falling back.
   int initial_k = 2;
   int max_k = 8;
-  /// Upper bound on repair iterations before the full-merge fallback
-  /// kicks in (0 = automatic: 4·n² + 64). Guarantees Theorem 2's "always
-  /// produces a SORE" unconditionally.
-  int max_repair_steps = 0;
   /// When false, iDTD fails (kNoEquivalentSore) instead of running the
-  /// full-merge fallback once repairs at k <= max_k are exhausted. The
-  /// paper's implementation corresponds to initial_k = max_k = 2 with
-  /// the fallback off; the library default is the stronger unrestricted
-  /// variant.
+  /// full-merge fallback once repairs at k <= max_k are exhausted, or
+  /// once the repair loop has run 4·n² + 64 rounds for an n-state SOA.
+  /// That round budget is what guarantees Theorem 2's "always produces a
+  /// SORE" unconditionally. The paper's implementation corresponds to
+  /// initial_k = max_k = 2 with the fallback off; the library default is
+  /// the stronger unrestricted variant.
   bool enable_full_merge_fallback = true;
   /// Ablation switches: individually disable the two repair rules
   /// (bench/repair_ablation quantifies what each contributes).

@@ -10,20 +10,40 @@ namespace condtd {
 
 namespace {
 
-/// Number of elements of `a` not in `b`. Sets are sorted (std::set).
-int DifferenceSize(const std::set<int>& a, const std::set<int>& b) {
+/// Number of elements of `a` not in `b`; both are sorted closure rows.
+int DifferenceSize(const std::vector<int>& a, const std::vector<int>& b) {
   int count = 0;
+  auto ib = b.begin();
   for (int x : a) {
-    if (b.count(x) == 0) ++count;
+    while (ib != b.end() && *ib < x) ++ib;
+    if (ib == b.end() || *ib != x) ++count;
   }
   return count;
 }
 
-bool Intersects(const std::set<int>& a, const std::set<int>& b) {
-  for (int x : a) {
-    if (b.count(x) > 0) return true;
+bool Intersects(const std::vector<int>& a, const std::vector<int>& b) {
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      return true;
+    }
   }
   return false;
+}
+
+/// The sorted closure row `row` without `x`.
+std::vector<int> Without(const std::vector<int>& row, int x) {
+  std::vector<int> rest;
+  rest.reserve(row.size());
+  for (int y : row) {
+    if (y != x) rest.push_back(y);
+  }
+  return rest;
 }
 
 /// The real-edge additions needed to equalize In/Out neighborhoods of u
@@ -70,7 +90,7 @@ bool EnableDisjunction(Gfa* gfa, int k) {
       const auto& pv = closure.pred[v];
       const auto& su = closure.succ[u];
       const auto& sv = closure.succ[v];
-      bool case_b = su.count(v) > 0 && sv.count(u) > 0;
+      bool case_b = closure.Connects(u, v) && closure.Connects(v, u);
       bool case_a = Intersects(pu, pv) && Intersects(su, sv) &&
                     DifferenceSize(pu, pv) <= k &&
                     DifferenceSize(pv, pu) <= k &&
@@ -106,10 +126,8 @@ bool EnableOptional(Gfa* gfa, int k) {
   int best_cost_b = std::numeric_limits<int>::max();
   int best_node_b = -1;
   for (int r : gfa->LiveNodes()) {
-    std::set<int> preds = closure.pred[r];
-    preds.erase(r);
-    std::set<int> succs = closure.succ[r];
-    succs.erase(r);
+    std::vector<int> preds = Without(closure.pred[r], r);
+    std::vector<int> succs = Without(closure.succ[r], r);
     if (preds.empty() || succs.empty()) continue;
 
     bool skip_evidence = false;
@@ -126,11 +144,11 @@ bool EnableOptional(Gfa* gfa, int k) {
     bool case_a = skip_evidence;
     bool case_b = false;
     if (preds.size() == 1) {
-      int rp = *preds.begin();
-      std::set<int> rp_succ = closure.succ[rp];
-      rp_succ.erase(r);
-      rp_succ.erase(rp);
-      case_b = static_cast<int>(rp_succ.size()) <= k;
+      // |Succ(r') \ {r, r'}| <= k; r' != r, since preds excludes r.
+      int rp = preds[0];
+      int others = static_cast<int>(closure.succ[rp].size()) -
+                   closure.Connects(rp, r) - closure.Connects(rp, rp);
+      case_b = others <= k;
     }
     if (!case_a && !case_b) continue;
     if (missing == 0) continue;
@@ -144,11 +162,9 @@ bool EnableOptional(Gfa* gfa, int k) {
   }
   int best_node = best_node_a >= 0 ? best_node_a : best_node_b;
   if (best_node < 0) return false;
-  std::set<int> preds = gfa->ComputeClosure().pred[best_node];
-  preds.erase(best_node);
-  std::set<int> succs = gfa->ComputeClosure().succ[best_node];
-  succs.erase(best_node);
-  for (int p : preds) {
+  // The GFA is unchanged since `closure` was computed.
+  std::vector<int> succs = Without(closure.succ[best_node], best_node);
+  for (int p : Without(closure.pred[best_node], best_node)) {
     for (int s : succs) {
       if (!gfa->HasEdge(p, s)) gfa->AddEdge(p, s, 1);
     }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "automaton/two_t_inf.h"
+#include "base/rng.h"
 #include "gfa/rewrite.h"
 #include "idtd/repair.h"
 #include "regex/normalize.h"
@@ -92,11 +96,12 @@ TEST(GfaClosure, PathsThroughNullableIntermediates) {
   gfa.AddEdge(y, z);
   gfa.AddEdge(z, gfa.sink());
   Gfa::Closure closure = gfa.ComputeClosure();
-  EXPECT_TRUE(closure.succ[x].count(z) > 0);
-  EXPECT_TRUE(closure.pred[z].count(x) > 0);
-  EXPECT_FALSE(closure.succ[gfa.source()].count(z) > 0);
+  EXPECT_TRUE(closure.Connects(x, z));
+  EXPECT_TRUE(std::binary_search(closure.pred[z].begin(),
+                                 closure.pred[z].end(), x));
+  EXPECT_FALSE(closure.Connects(gfa.source(), z));
   // Direct edges are always present.
-  EXPECT_TRUE(closure.succ[x].count(y) > 0);
+  EXPECT_TRUE(closure.Connects(x, y));
 }
 
 TEST(GfaClosure, ChainsOfNullables) {
@@ -111,7 +116,88 @@ TEST(GfaClosure, ChainsOfNullables) {
   gfa.AddEdge(c, gfa.sink());
   Gfa::Closure closure = gfa.ComputeClosure();
   // src reaches c through two nullable hops.
-  EXPECT_TRUE(closure.succ[gfa.source()].count(c) > 0);
+  EXPECT_TRUE(closure.Connects(gfa.source(), c));
+}
+
+/// E* row of `u` by depth-first search over Out(), continuing only
+/// through nullable nodes, plus rule (i)'s virtual self-loop.
+std::vector<int> NaiveClosureRow(const Gfa& gfa, int u) {
+  std::set<int> reached;
+  std::vector<int> stack = gfa.Out(u);
+  while (!stack.empty()) {
+    int w = stack.back();
+    stack.pop_back();
+    if (!reached.insert(w).second || !gfa.NodeNullable(w)) continue;
+    for (int to : gfa.Out(w)) stack.push_back(to);
+  }
+  if (gfa.HasVirtualSelfLoop(u)) reached.insert(u);
+  return std::vector<int>(reached.begin(), reached.end());
+}
+
+TEST(GfaClosure, MatchesNaiveReachabilityOnRandomGfas) {
+  Rng rng(20061018);
+  for (int trial = 0; trial < 12; ++trial) {
+    // More than 128 node ids, some dead, with plain, nullable, s+ and
+    // (s+)? labels.
+    Gfa gfa;
+    const int internal = 130 + static_cast<int>(rng.NextBelow(40));
+    for (int i = 0; i < internal; ++i) {
+      ReRef sym = Re::Sym(static_cast<Symbol>(i));
+      switch (rng.NextBelow(5)) {
+        case 0:
+          gfa.AddNode(sym);
+          break;
+        case 1:
+          gfa.AddNode(Re::Opt(sym));
+          break;
+        case 2:
+          gfa.AddNode(Re::Plus(sym));
+          break;
+        case 3:
+          gfa.AddNode(Re::Opt(Re::Plus(sym)));
+          break;
+        default:
+          gfa.AddNode(Re::Concat(
+              {Re::Opt(sym), Re::Star(Re::Sym(static_cast<Symbol>(
+                                 internal + i)))}));
+          break;
+      }
+    }
+    const int ids = internal + 2;
+    for (int u = 0; u < ids; ++u) {
+      if (u == gfa.sink()) continue;
+      int degree = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int e = 0; e < degree; ++e) {
+        // Any node but the source may be a target, u itself included.
+        gfa.AddEdge(u, 1 + static_cast<int>(rng.NextBelow(ids - 1)));
+      }
+    }
+    for (int v : gfa.LiveNodes()) {
+      if (rng.Bernoulli(0.15)) gfa.RemoveNode(v);
+    }
+
+    Gfa::Closure closure = gfa.ComputeClosure();
+    ASSERT_EQ(static_cast<int>(closure.succ.size()), ids);
+    ASSERT_EQ(static_cast<int>(closure.pred.size()), ids);
+    std::vector<std::vector<int>> naive_pred(ids);
+    for (int u = 0; u < ids; ++u) {
+      std::vector<int> row;
+      if (gfa.IsAlive(u)) row = NaiveClosureRow(gfa, u);
+      EXPECT_EQ(closure.succ[u], row) << "succ of " << u;
+      for (int v : row) naive_pred[v].push_back(u);
+    }
+    for (int v = 0; v < ids; ++v) {
+      EXPECT_EQ(closure.pred[v], naive_pred[v]) << "pred of " << v;
+    }
+    // Strictly ascending rows: sorted, no duplicates.
+    for (const auto* rows : {&closure.succ, &closure.pred}) {
+      for (const std::vector<int>& row : *rows) {
+        EXPECT_EQ(std::adjacent_find(row.begin(), row.end(),
+                                     std::greater_equal<int>()),
+                  row.end());
+      }
+    }
+  }
 }
 
 // --- Repair rules in isolation --------------------------------------------------

@@ -8,14 +8,17 @@
 
 #include "automaton/two_t_inf.h"
 #include "base/rng.h"
+#include "gen/corpus.h"
 #include "gen/random_regex.h"
 #include "gen/regex_sampler.h"
 #include "gen/representative.h"
 #include "gen/reservoir.h"
 #include "idtd/repair.h"
 #include "gfa/rewrite.h"
+#include "obs/metrics.h"
 #include "regex/equivalence.h"
 #include "regex/matcher.h"
+#include "regex/normalize.h"
 #include "regex/properties.h"
 #include "tests/testing.h"
 
@@ -181,6 +184,158 @@ TEST(Idtd, NoiseThresholdDropsLowSupportEdges) {
   ReRef clean = ParseChars("(ab)+", &alphabet);
   EXPECT_TRUE(LanguageEquivalent(clean, learned.value()))
       << ToString(learned.value(), alphabet);
+}
+
+// Once a repair round leaves the GFA as it found it, every later round
+// does too. On Table 2's example4 the first repair round already does,
+// and on Table 1's refinfo at these seeds the third; the loop then takes
+// the full-merge fallback at once instead of after 4n²+64 rounds (14 948
+// and 388). The expressions are those of the budgeted loop.
+TEST(Idtd, UnchangedRepairRoundTakesTheBudgetExitAtOnce) {
+#ifdef CONDTD_NO_STATS
+  GTEST_SKIP() << "observability compiled out (CONDTD_NO_STATS)";
+#else
+  auto expect_repairs = [](const ExperimentCase& c, int disjunctions,
+                           const std::string& expected) {
+    obs::EnableStats(true);
+    obs::ResetStats();
+    Result<ReRef> learned = IdtdFromSoa(Infer2T(c.sample));
+    obs::StatsSnapshot stats = obs::SnapshotStats();
+    obs::EnableStats(false);
+    obs::ResetStats();
+    ASSERT_TRUE(learned.ok()) << c.name << ": "
+                              << learned.status().ToString();
+    EXPECT_EQ(ToString(learned.value(), c.alphabet), expected) << c.name;
+    auto count = [&](obs::Counter counter) {
+      return stats.counters[static_cast<int>(counter)];
+    };
+    EXPECT_EQ(count(obs::Counter::kRepairDisjunctions), disjunctions)
+        << c.name;
+    EXPECT_EQ(count(obs::Counter::kRepairFallbacks), 1) << c.name;
+  };
+
+  std::string example4 = "(";
+  for (int i = 5; i <= 61; ++i) example4 += "a" + std::to_string(i) + " | ";
+  example4 += "a1? a2 a3? a4?)+";
+  expect_repairs(BuildTable2Cases(20060912)[3], 1, example4);
+
+  for (uint64_t seed : {8, 23, 32, 37}) {
+    for (const ExperimentCase& c : BuildTable1Cases(seed)) {
+      if (c.name != "refinfo") continue;
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_repairs(c, 3, "(a6 | a7 | a8 | a9 | a1 a2 (a3 | a4)? a5)*");
+    }
+  }
+#endif
+}
+
+/// Algorithm 2's repair loop without the jump: every round up to the
+/// 4n²+64 budget runs. `*budget_exits` counts the runs that reach it.
+Result<ReRef> BudgetedIdtd(const Soa& soa, const IdtdOptions& options,
+                           int* budget_exits) {
+  Gfa gfa = Gfa::FromSoa(soa);
+  RewriteFixpoint(&gfa);
+  int k = options.initial_k;
+  const int budget = 4 * soa.NumStates() * soa.NumStates() + 64;
+  int steps = 0;
+  while (!gfa.IsFinal()) {
+    if (++steps > budget) {
+      ++*budget_exits;
+      if (!options.enable_full_merge_fallback) {
+        return Status::NoEquivalentSore(
+            "iDTD (restricted): repair budget exhausted before reaching a "
+            "final form");
+      }
+      FullMergeFallback(&gfa);
+      RewriteFixpoint(&gfa);
+      break;
+    }
+    if (EnableDisjunction(&gfa, k) || EnableOptional(&gfa, k)) {
+      RewriteFixpoint(&gfa);
+      continue;
+    }
+    if (k < options.max_k) {
+      ++k;
+      continue;
+    }
+    if (!options.enable_full_merge_fallback) {
+      return Status::NoEquivalentSore(
+          "iDTD (restricted): no repair rule applies at k <= " +
+          std::to_string(options.max_k));
+    }
+    FullMergeFallback(&gfa);
+    RewriteFixpoint(&gfa);
+    break;
+  }
+  return Normalize(gfa.FinalExpression());
+}
+
+TEST(Idtd, JumpGivesTheBudgetedLoopsResult) {
+  std::vector<Soa> soas;
+  Rng rng(20061016);
+  // Subsampled random SOREs.
+  for (int trial = 0; trial < 300; ++trial) {
+    ReRef target = RandomSore(2 + static_cast<int>(rng.NextBelow(15)), &rng);
+    std::vector<Word> full = RepresentativeSample(target);
+    for (const Word& w : SampleWords(target, 10, &rng)) full.push_back(w);
+    int size = 1 + static_cast<int>(rng.NextBelow(full.size()));
+    soas.push_back(Infer2T(ReservoirSample(full, size, &rng)));
+  }
+  // Dense random SOAs without SORE structure.
+  for (int trial = 0; trial < 100; ++trial) {
+    const int n = 3 + static_cast<int>(rng.NextBelow(8));
+    Soa soa;
+    for (Symbol s = 0; s < n; ++s) soa.AddState(s);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        if (rng.Bernoulli(0.31)) soa.AddEdge(i, j);
+      }
+    }
+    soa.AddInitial(0);
+    soa.AddFinal(n - 1);
+    soa.AddEdge(0, n - 1);
+    soas.push_back(std::move(soa));
+  }
+  // Table 1 and Table 2 subsamples.
+  std::vector<ExperimentCase> cases = BuildTable1Cases(20061016);
+  for (ExperimentCase& c : BuildTable2Cases(20061016)) {
+    cases.push_back(std::move(c));
+  }
+  for (const ExperimentCase& c : cases) {
+    for (int size : {2, 4, 8, 16}) {
+      soas.push_back(Infer2T(ReservoirSample(c.sample, size, &rng)));
+    }
+  }
+
+  IdtdOptions restricted;
+  restricted.initial_k = 2;
+  restricted.max_k = 2;
+  restricted.enable_full_merge_fallback = false;
+  Alphabet names;
+  for (int s = 0; s < 256; ++s) names.Intern("s" + std::to_string(s));
+  int budget_exits = 0;
+  int compared = 0;
+  for (const Soa& soa : soas) {
+    if (soa.NumStates() == 0) continue;
+    for (const IdtdOptions& options : {IdtdOptions{}, restricted}) {
+      Result<ReRef> fast = IdtdFromSoa(soa, options);
+      Result<ReRef> budgeted = BudgetedIdtd(soa, options, &budget_exits);
+      ++compared;
+      ASSERT_EQ(fast.ok(), budgeted.ok())
+          << "input " << compared << ": " << fast.status().ToString()
+          << " vs " << budgeted.status().ToString();
+      if (fast.ok()) {
+        EXPECT_EQ(ToString(fast.value(), names),
+                  ToString(budgeted.value(), names))
+            << "input " << compared;
+      } else {
+        EXPECT_EQ(fast.status().ToString(), budgeted.status().ToString())
+            << "input " << compared;
+      }
+    }
+  }
+  // Without inputs that spin to the budget the jump goes unexercised.
+  EXPECT_GT(budget_exits, 10) << "of " << compared << " runs";
 }
 
 TEST(Idtd, EmptySoaFails) {
