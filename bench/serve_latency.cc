@@ -202,8 +202,8 @@ int Run(int argc, char** argv) {
 
   // Queries issued while ingestion is still in flight are the number
   // that matters (reader latency under writer pressure); the idle
-  // tail after the writers drain is reported separately — it is
-  // dominated by the epoch cache and would otherwise drown the p50.
+  // tail after the writers drain is reported separately — it
+  // re-learns nothing and would otherwise drown the p50.
   std::vector<int64_t> query_under_ingest;
   std::vector<int64_t> query_idle;
   std::atomic<int> query_failures{0};

@@ -13,6 +13,13 @@ Symbol Alphabet::Intern(std::string_view name) {
   return id;
 }
 
+void Alphabet::Truncate(int size) {
+  while (this->size() > size) {
+    index_.erase(names_.back());
+    names_.pop_back();
+  }
+}
+
 Symbol Alphabet::Find(std::string_view name) const {
   auto it = index_.find(name);
   if (it == index_.end()) return kInvalidSymbol;

@@ -42,6 +42,10 @@ class Alphabet {
   /// Number of distinct symbols.
   int size() const { return static_cast<int>(names_.size()); }
 
+  /// Forgets every name interned after the first `size`; the ids below
+  /// `size` keep their names.
+  void Truncate(int size);
+
   /// Interns every character of `text` as a one-letter name. Convenient
   /// for paper examples like "bacacdacde".
   Word WordFromChars(std::string_view text);

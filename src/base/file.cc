@@ -1,40 +1,18 @@
 #include "base/file.h"
 
-#include <fstream>
-
+#include <errno.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
+
+#include <fstream>
 
 namespace condtd {
 
 namespace {
 
-/// Chunked read for regular files whose reported size is unreliable
-/// (procfs/sysfs publish st_size == 0 for content-bearing entries).
-Result<std::string> ReadStreamToString(std::ifstream& in,
-                                       const std::string& path) {
-  std::string content;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    content.append(buffer, static_cast<size_t>(in.gcount()));
-  }
-  if (in.bad()) {
-    return Status::InvalidArgument("error while reading: " + path);
-  }
-  return content;
-}
-
-}  // namespace
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  // Classify before opening: an ifstream on a FIFO with no writer would
-  // block forever, and a directory "opens" only to fail confusingly at
-  // read time. The daemon receives arbitrary client paths, so these must
-  // be crisp errors, never hangs.
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::NotFound("cannot open file: " + path);
-  }
+Status CheckRegular(const struct stat& st, const std::string& path) {
   if (S_ISDIR(st.st_mode)) {
     return Status::InvalidArgument("is a directory: " + path);
   }
@@ -42,27 +20,77 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return Status::InvalidArgument(
         "not a regular file (fifo/device/socket): " + path);
   }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
+  return Status::OK();
+}
+
+}  // namespace
+
+Status OpenRegularFile(const std::string& path, int* fd, size_t* size) {
+  *fd = -1;
+  // Classify before opening: opening a device can have effects of its
+  // own, and opening then closing a FIFO releases a writer blocked on
+  // it. The daemon receives arbitrary client paths, so anything but a
+  // regular file must be refused without ever being opened.
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) {
     return Status::NotFound("cannot open file: " + path);
   }
-  // Seek-to-end + one read into a presized buffer: the ostringstream
-  // round-trip this replaces copied every byte twice and doubled peak
-  // memory on corpus-sized documents.
-  std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::InvalidArgument("error while reading: " + path);
+  CONDTD_RETURN_IF_ERROR(CheckRegular(st, path));
+  // The path can be swapped between the stat and the open, so the
+  // descriptor is classified again. O_NONBLOCK keeps such a swapped-in
+  // FIFO from hanging the open and O_NOCTTY a swapped-in terminal from
+  // becoming the controlling one; for regular files both are no-ops.
+  *fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_NOCTTY | O_CLOEXEC);
+  if (*fd < 0) {
+    return Status::NotFound("cannot open file: " + path);
   }
-  in.seekg(0, std::ios::beg);
+  Status status = ::fstat(*fd, &st) == 0
+                      ? CheckRegular(st, path)
+                      : Status::InvalidArgument("error while reading: " +
+                                                path);
+  if (!status.ok()) {
+    ::close(*fd);
+    *fd = -1;
+    return status;
+  }
+  *size = static_cast<size_t>(st.st_size);
+  return Status::OK();
+}
+
+Result<std::string> ReadOpenFile(int fd, size_t size,
+                                 const std::string& path) {
+  std::string content;
   if (size == 0) {
-    // st_size == 0 does not mean empty for /proc-style virtual files.
-    return ReadStreamToString(in, path);
+    char buffer[1 << 16];
+    for (;;) {
+      ssize_t got = ::read(fd, buffer, sizeof(buffer));
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) {
+        return Status::InvalidArgument("error while reading: " + path);
+      }
+      if (got == 0) return content;
+      content.append(buffer, static_cast<size_t>(got));
+    }
   }
-  std::string content(static_cast<size_t>(size), '\0');
-  in.read(content.data(), size);
-  if (in.bad() || in.gcount() != size) {
-    return Status::InvalidArgument("error while reading: " + path);
+  content.resize(size);
+  size_t done = 0;
+  while (done < size) {
+    ssize_t got = ::read(fd, content.data() + done, size - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      return Status::InvalidArgument("error while reading: " + path);
+    }
+    done += static_cast<size_t>(got);
   }
+  return content;
+}
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  int fd = -1;
+  size_t size = 0;
+  CONDTD_RETURN_IF_ERROR(OpenRegularFile(path, &fd, &size));
+  Result<std::string> content = ReadOpenFile(fd, size, path);
+  ::close(fd);
   return content;
 }
 

@@ -2,19 +2,24 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string_view>
 #include <utility>
 
 #include "automaton/dfa.h"
+#include "base/strings.h"
 #include "check/reference_fold.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "infer/engine.h"
+#include "infer/session.h"
 #include "infer/streaming.h"
 #include "regex/determinism.h"
 #include "regex/equivalence.h"
 #include "regex/matcher.h"
 #include "regex/properties.h"
+#include "serve/corpus.h"
 
 namespace condtd {
 
@@ -595,6 +600,151 @@ OracleResult CheckIngestionEquivalence(
     return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
                               ") DTD differs from the reference fold's:\n" +
                               parallel_text + "vs\n" + reference_text);
+  }
+  return OracleResult::Pass();
+}
+
+namespace {
+
+/// The `learner` (or the corpus default) learning from a copy of the
+/// batch engine's summaries.
+Result<std::string> FreshAnswer(const DtdInferrer& batch,
+                                const InferenceOptions& options,
+                                const std::string& learner, bool xsd) {
+  InferenceOptions query = options;
+  if (!learner.empty()) query.learner = learner;
+  DtdInferrer reader(query);
+  reader.MergeFrom(batch);
+  if (xsd) return reader.InferXsd();
+  Result<Dtd> dtd = reader.InferDtd();
+  if (!dtd.ok()) return dtd.status();
+  return WriteDtd(*dtd, *reader.alphabet());
+}
+
+std::string Render(const Result<std::string>& answer) {
+  return answer.ok() ? "OK\n" + *answer
+                     : "ERROR " + answer.status().ToString() + "\n";
+}
+
+/// A session's SaveState and, per element name, its version and its
+/// SaveState fragment (the lines from its `element` line up to the next
+/// element or the end).
+struct VersionedFragments {
+  std::string state;
+  std::map<std::string, uint64_t> versions;
+  std::map<std::string, std::string> fragments;
+};
+
+VersionedFragments Observe(IngestSession* session) {
+  VersionedFragments out;
+  session->Snapshot(&out.state, nullptr);
+  std::string* fragment = nullptr;
+  for (const std::string& line : SplitString(out.state, '\n')) {
+    if (StartsWith(line, "element ")) {
+      fragment = &out.fragments[SplitString(line, ' ')[1]];
+    } else if (line == "end") {
+      fragment = nullptr;
+    }
+    if (fragment != nullptr) *fragment += line + "\n";
+  }
+  Alphabet alphabet;
+  SummaryDelta delta;
+  session->SnapshotChanged({}, &alphabet, &delta);
+  for (const auto& [symbol, version] : delta.versions) {
+    out.versions[alphabet.Name(symbol)] = version;
+  }
+  return out;
+}
+
+}  // namespace
+
+OracleResult CheckIncrementalQuery(const std::vector<QueryTraceStep>& steps,
+                                   const InferenceOptions& options,
+                                   const std::string& data_dir) {
+  serve::Corpus::Options corpus_options;
+  corpus_options.inference = options;
+  corpus_options.data_dir = data_dir;
+  corpus_options.fsync_journal = false;
+  Result<std::unique_ptr<serve::Corpus>> corpus =
+      serve::Corpus::Open("oracle", corpus_options);
+  if (!corpus.ok()) {
+    return OracleResult::Fail("cannot open the corpus: " +
+                              corpus.status().ToString());
+  }
+  auto session = std::make_unique<IngestSession>(options);
+  std::vector<std::string> acknowledged;
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  VersionedFragments before;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const QueryTraceStep& step = steps[i];
+    const std::string where = "step " + std::to_string(i) + ": ";
+    if (step.kind == QueryTraceStep::Kind::kIngest) {
+      Status served = (*corpus)->Ingest(step.document);
+      Status mirrored = session->Ingest(step.document);
+      if (served.ok() != mirrored.ok()) {
+        return OracleResult::Fail(where + "the corpus says " +
+                                  served.ToString() + ", a session " +
+                                  mirrored.ToString());
+      }
+      if (served.ok()) acknowledged.push_back(step.document);
+      // The session is looked at only where the corpus's own one is
+      // read: its snapshot flushes, and a flush after every INGEST
+      // would hide what a rejected document leaves in the dedup cache
+      // for later ones.
+      continue;
+    }
+    // The batch engine (one job) over the acknowledged documents.
+    IngestEngine engine(engine_options);
+    for (const std::string& doc : acknowledged) engine.AddXml(doc);
+    Status folded = engine.Finish();
+    if (!folded.ok()) {
+      return OracleResult::Fail(where + "reference ingestion failed: " +
+                                folded.ToString());
+    }
+    if (step.kind == QueryTraceStep::Kind::kQuery) {
+      std::string got = Render((*corpus)->Query(step.learner, step.xsd));
+      std::string want = Render(
+          FreshAnswer(engine.inferrer(), options, step.learner, step.xsd));
+      if (got != want) {
+        return OracleResult::Fail(
+            where + "QUERY --algorithm=" + step.learner +
+            (step.xsd ? " --format=xsd" : " --format=dtd") + " after " +
+            std::to_string(acknowledged.size()) + " documents answered\n" +
+            got + "but a fresh inference gives\n" + want);
+      }
+    } else {
+      corpus->reset();
+      corpus = serve::Corpus::Open("oracle", corpus_options);
+      if (!corpus.ok()) {
+        return OracleResult::Fail(where + "cannot reopen the corpus: " +
+                                  corpus.status().ToString());
+      }
+      // Recovery's rebuild: the batch engine's summaries merged into a
+      // fresh session with fresh versions.
+      session = std::make_unique<IngestSession>(options);
+      session->MergeFrom(engine.inferrer());
+      before = VersionedFragments();
+    }
+    VersionedFragments after = Observe(session.get());
+    const std::string batch_state = engine.inferrer().SaveState();
+    if (after.state != batch_state) {
+      return OracleResult::Fail(
+          where + "after " + std::to_string(acknowledged.size()) +
+          " acknowledged documents the session saves\n" + after.state +
+          "but IngestEngine over them saves\n" + batch_state);
+    }
+    for (const auto& [name, version] : after.versions) {
+      auto was = before.versions.find(name);
+      if (was != before.versions.end() && was->second == version &&
+          before.fragments[name] != after.fragments[name]) {
+        return OracleResult::Fail(
+            where + "element " + name + " kept version " +
+            std::to_string(version) + " while its summary changed:\n" +
+            before.fragments[name] + "became\n" + after.fragments[name]);
+      }
+    }
+    before = std::move(after);
   }
   return OracleResult::Pass();
 }

@@ -130,6 +130,35 @@ OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& broken_documents,
     const InferenceOptions& options, int jobs);
 
+/// One operation of an incremental-query trace (CheckIncrementalQuery).
+struct QueryTraceStep {
+  enum class Kind { kIngest, kQuery, kReopen };
+  Kind kind = Kind::kIngest;
+  /// kIngest: the document; a malformed one must be refused.
+  std::string document;
+  /// kQuery: the learner override ("" = the corpus default) and format.
+  std::string learner;
+  bool xsd = false;
+};
+
+/// The serve daemon's incremental QUERY against a fresh inference. A
+/// durable serve::Corpus in `data_dir` (an empty directory) runs
+/// `steps`: INGESTs, QUERYs and reopenings of the corpus from its data
+/// dir. Every QUERY answer, error status included, must byte-equal
+/// IngestEngine over the acknowledged documents followed by
+/// InferDtd/InferXsd, with the queried learner learning from a copy of
+/// the engine's summaries (what QUERY did before it kept a memo).
+/// Alongside, an IngestSession fed the same steps — and rebuilt at each
+/// reopening the way recovery rebuilds the corpus — must save, at every
+/// QUERY and reopening, the state IngestEngine saves over the
+/// acknowledged documents (rejected documents leave nothing behind),
+/// and keep the version contract: an element whose SummaryStore version
+/// did not move since the previous such step has the same SaveState
+/// fragment as before.
+OracleResult CheckIncrementalQuery(const std::vector<QueryTraceStep>& steps,
+                                   const InferenceOptions& options,
+                                   const std::string& data_dir);
+
 }  // namespace condtd
 
 #endif  // CONDTD_CHECK_ORACLES_H_

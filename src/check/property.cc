@@ -1,6 +1,9 @@
 #include "check/property.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -236,6 +239,18 @@ void NestSameNameText(XmlDocument* doc, Rng* rng) {
   XmlElement* outer = with_text[rng->NextBelow(with_text.size())];
   outer->AddChild(outer->name())
       ->AppendText("nested" + std::to_string(rng->NextBelow(1000)));
+}
+
+/// `doc`'s root with its children in reverse order and no end tag: a
+/// document the fold rejects after completing every word below the
+/// root, in another order than `doc` completes them.
+std::string ReversedUnclosedRoot(const XmlDocument& doc) {
+  std::string xml = "<" + doc.root->name() + ">";
+  const auto& children = doc.root->children();
+  for (auto child = children.rbegin(); child != children.rend(); ++child) {
+    xml += (*child)->ToXml();
+  }
+  return xml;
 }
 
 }  // namespace
@@ -543,6 +558,90 @@ std::vector<PropertyFailure> RunIngestionProperty(
       failure.instance = i;
       failure.seed = seed;
       failure.oracle = "ingestion-equivalence";
+      failure.detail = check.detail;
+      failure.sample = documents;
+      failures.push_back(std::move(failure));
+    }
+  }
+  return failures;
+}
+
+std::vector<PropertyFailure> RunIncrementalQueryProperty(
+    const PropertyOptions& options) {
+  static const char* const kLearners[] = {"", "auto", "crx", "idtd",
+                                          "xtract"};
+  std::vector<PropertyFailure> failures;
+  for (int i = 0; i < options.instances; ++i) {
+    uint64_t seed = InstanceSeed(options.seed, i);
+    Rng rng(seed);
+    Alphabet alphabet;
+    RandomDtdOptions dtd_options;
+    dtd_options.num_elements = 3 + static_cast<int>(rng.NextBelow(5));
+    Dtd dtd = RandomDtd(&alphabet, &rng, dtd_options);
+    std::vector<std::string> documents, reversed;
+    int num_docs = 4 + static_cast<int>(rng.NextBelow(8));
+    for (int d = 0; d < num_docs; ++d) {
+      Result<XmlDocument> doc = GenerateDocument(dtd, alphabet, &rng);
+      if (!doc.ok()) break;
+      if (rng.Bernoulli(0.5)) NestSameNameText(&doc.value(), &rng);
+      documents.push_back(doc->ToXml());
+      reversed.push_back(ReversedUnclosedRoot(*doc));
+    }
+    auto query = [&] {
+      QueryTraceStep step;
+      step.kind = QueryTraceStep::Kind::kQuery;
+      step.learner = kLearners[rng.NextBelow(5)];
+      step.xsd = rng.Bernoulli(0.5);
+      return step;
+    };
+    std::vector<QueryTraceStep> steps;
+    if (rng.Bernoulli(0.2)) steps.push_back(query());  // empty corpus
+    size_t reopen_at = rng.NextBelow(documents.size() + 1);
+    for (size_t d = 0; d <= documents.size(); ++d) {
+      if (d == reopen_at) {
+        QueryTraceStep reopen;
+        reopen.kind = QueryTraceStep::Kind::kReopen;
+        steps.push_back(reopen);
+        steps.push_back(query());
+      }
+      if (d == documents.size()) break;
+      QueryTraceStep ingest;
+      if (rng.Bernoulli(0.3)) {
+        // This document's words, rejected in another order just before.
+        ingest.document = reversed[d];
+        steps.push_back(ingest);
+      }
+      ingest.document = documents[d];
+      steps.push_back(ingest);
+      if (rng.Bernoulli(0.35)) {
+        const std::string& source =
+            documents[rng.NextBelow(documents.size())];
+        ingest.document = source.substr(0, source.size() / 2) + "<";
+        steps.push_back(ingest);
+      }
+      if (rng.Bernoulli(0.5)) steps.push_back(query());
+      if (rng.Bernoulli(0.2)) steps.push_back(query());
+    }
+    steps.push_back(query());
+    steps.push_back(query());
+
+    InferenceOptions inference;
+    inference.learner = rng.Bernoulli(0.25) ? "xtract" : "auto";
+    inference.max_text_samples = 1 + static_cast<int>(rng.NextBelow(4));
+    std::error_code error;
+    std::filesystem::path dir = std::filesystem::temp_directory_path(error) /
+                                ("condtd_incremental_" +
+                                 std::to_string(::getpid()) + "_" +
+                                 std::to_string(seed));
+    std::filesystem::remove_all(dir, error);
+    OracleResult check = CheckIncrementalQuery(steps, inference, dir.string());
+    std::filesystem::remove_all(dir, error);
+    if (!check.passed) {
+      PropertyFailure failure;
+      failure.learner = "incremental-query";
+      failure.instance = i;
+      failure.seed = seed;
+      failure.oracle = "incremental-query";
       failure.detail = check.detail;
       failure.sample = documents;
       failures.push_back(std::move(failure));

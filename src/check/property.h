@@ -90,6 +90,20 @@ std::vector<PropertyFailure> RunMergeLawProperty(
 std::vector<PropertyFailure> RunIngestionProperty(
     const PropertyOptions& options);
 
+/// Incremental-query property: random DTDs generate random traces of
+/// INGESTs (about one in three followed by a broken document, a
+/// truncated copy of any generated document, so it may carry names the
+/// corpus has not seen; about three in ten preceded by a copy of the
+/// same document with its root's children reversed and its root left
+/// open, which completes its words in another order and is rejected),
+/// DTD and XSD QUERYs under auto, crx, idtd and
+/// xtract, and one reopening of the corpus, over a corpus whose own
+/// learner is auto or xtract (whose summaries keep a word reservoir).
+/// Each instance runs in a fresh temporary data dir
+/// (CheckIncrementalQuery).
+std::vector<PropertyFailure> RunIncrementalQueryProperty(
+    const PropertyOptions& options);
+
 /// Round-trip property: random DTDs must survive WriteDtd → ParseDtd
 /// unchanged (CheckDtdRoundTrip).
 std::vector<PropertyFailure> RunRoundTripProperty(

@@ -113,10 +113,7 @@ Result<ContentModel> ContextualInferrer::InferContext(
     return model;
   }
   if (learner_ == nullptr) {
-    return Status::InvalidArgument(
-        "unknown learner '" + options_.learner +
-        "' (registered: " + LearnerRegistry::Global().NamesForDisplay(", ") +
-        ")");
+    return LearnerRegistry::Global().UnknownName(options_.learner);
   }
   Result<ReRef> re = learner_->Learn(summary, learn_options_);
   if (!re.ok()) return re.status();

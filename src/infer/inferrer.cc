@@ -85,10 +85,7 @@ std::vector<Symbol> DtdInferrer::Elements() const {
 
 Result<ReRef> DtdInferrer::LearnRegex(const ElementSummary& summary) const {
   if (learner_ == nullptr) {
-    return Status::InvalidArgument(
-        "unknown learner '" + options_.learner +
-        "' (registered: " +
-        LearnerRegistry::Global().NamesForDisplay(", ") + ")");
+    return LearnerRegistry::Global().UnknownName(options_.learner);
   }
   obs::StageSpan span(obs::Stage::kLearn);
   Result<ReRef> result = LearnWithMetrics(*learner_, summary, learn_options_);
@@ -102,140 +99,167 @@ Result<ContentModel> DtdInferrer::InferContentModel(Symbol element) const {
     return Status::NotFound("element never observed: " +
                             alphabet_.NameOrPlaceholder(element));
   }
+  return LearnContentModel(*summary);
+}
+
+Result<ContentModel> DtdInferrer::LearnContentModel(
+    const ElementSummary& summary) const {
   ContentModel model;
-  const bool any_children = summary->crx.num_distinct_histograms() > 0;
+  const bool any_children = summary.crx.num_distinct_histograms() > 0;
   if (!any_children) {
     model.kind =
-        summary->has_text ? ContentKind::kPcdataOnly : ContentKind::kEmpty;
+        summary.has_text ? ContentKind::kPcdataOnly : ContentKind::kEmpty;
     return model;
   }
-  if (summary->has_text) {
+  if (summary.has_text) {
     // Mixed content: DTDs can only express (#PCDATA | a | b)*.
     model.kind = ContentKind::kMixed;
-    for (int q = 0; q < summary->soa.NumStates(); ++q) {
+    for (int q = 0; q < summary.soa.NumStates(); ++q) {
       if (options_.noise_symbol_threshold > 0 &&
-          summary->soa.StateSupport(q) < options_.noise_symbol_threshold) {
+          summary.soa.StateSupport(q) < options_.noise_symbol_threshold) {
         continue;
       }
-      model.mixed_symbols.push_back(summary->soa.LabelOf(q));
+      model.mixed_symbols.push_back(summary.soa.LabelOf(q));
     }
     std::sort(model.mixed_symbols.begin(), model.mixed_symbols.end());
     return model;
   }
-  Result<ReRef> re = LearnRegex(*summary);
+  Result<ReRef> re = LearnRegex(summary);
   if (!re.ok()) return re.status();
   model.kind = ContentKind::kChildren;
   model.regex = re.value();
   // Elements that sometimes appear empty need a nullable model; the
   // learners already account for it (the ε word is part of the SOA and
   // of the CRX histograms), so this is just a sanity fallback.
-  if (summary->soa.accepts_empty() && !Nullable(model.regex)) {
+  if (summary.soa.accepts_empty() && !Nullable(model.regex)) {
     model.regex = Re::Opt(model.regex);
   }
   return model;
 }
 
-Result<Dtd> DtdInferrer::InferDtd(int num_threads) const {
-  if (store_.empty()) {
-    return Status::FailedPrecondition("no documents have been added");
-  }
-  Dtd dtd;
-  // Root: prefer the observed document root(s); with direct AddWords
-  // usage, fall back to an element never seen as a child.
-  if (!store_.root_counts().empty()) {
-    int64_t best = -1;
-    for (const auto& [symbol, count] : store_.root_counts()) {
-      if (count > best) {
-        best = count;
-        dtd.root = symbol;
-      }
-    }
-  } else {
-    for (const auto& [symbol, summary] : store_.elements()) {
-      if (!store_.SeenAsChild(symbol)) {
-        dtd.root = symbol;
-        break;
-      }
-    }
-    if (dtd.root == kInvalidSymbol) {
-      dtd.root = store_.elements().begin()->first;
+ElementSchema DtdInferrer::InferElement(const ElementSummary& summary,
+                                        bool xsd) const {
+  ElementSchema schema;
+  schema.model = LearnContentModel(summary);
+  if (options_.infer_attributes) {
+    for (const auto& [name, count] : summary.attribute_counts) {
+      Dtd::AttributeDef def;
+      def.name = name;
+      def.type = "CDATA";
+      def.default_decl =
+          count == summary.occurrences ? "#REQUIRED" : "#IMPLIED";
+      schema.attributes.push_back(std::move(def));
     }
   }
+  if (xsd && schema.model.ok()) {
+    // The bounds are keyed by the model's RE nodes, which the assembled
+    // DTD shares.
+    if (schema.model->kind == ContentKind::kChildren) {
+      schema.xsd.numeric = AnnotateNumericFromHistograms(
+          schema.model->regex, summary.crx.histograms(),
+          summary.crx.empty_count());
+    }
+    if (summary.has_text) {
+      schema.xsd.text_type = InferSimpleType(summary.text_samples);
+    }
+  }
+  return schema;
+}
+
+std::vector<ElementSchema> DtdInferrer::InferElements(bool xsd,
+                                                      int num_threads) const {
   // Per-element learner calls are fully independent (pure reads of this
   // inferrer), so they fan out across threads; results are collected by
-  // index and assembled in ascending-symbol order, making the DTD — and
-  // which error wins when several elements fail — identical to the
-  // sequential run.
-  std::vector<Symbol> symbols = Elements();
-  std::vector<Result<ContentModel>> models(
-      symbols.size(), Result<ContentModel>(Status::Internal("unset")));
-  int jobs = std::clamp(num_threads, 1, static_cast<int>(symbols.size()));
+  // index, so the assembled schema does not depend on the thread count.
+  std::vector<const ElementSummary*> summaries;
+  summaries.reserve(store_.elements().size());
+  for (const auto& [symbol, summary] : store_.elements()) {
+    summaries.push_back(&summary);
+  }
+  std::vector<ElementSchema> schemas(summaries.size());
+  int jobs = std::min(std::max(num_threads, 1),
+                      static_cast<int>(summaries.size()));
   if (jobs > 1) {
     std::atomic<size_t> next{0};
     std::vector<std::thread> workers;
     workers.reserve(jobs);
     for (int t = 0; t < jobs; ++t) {
       workers.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < symbols.size();
+        for (size_t i = next.fetch_add(1); i < summaries.size();
              i = next.fetch_add(1)) {
-          models[i] = InferContentModel(symbols[i]);
+          schemas[i] = InferElement(*summaries[i], xsd);
         }
       });
     }
     for (std::thread& worker : workers) worker.join();
   } else {
-    for (size_t i = 0; i < symbols.size(); ++i) {
-      models[i] = InferContentModel(symbols[i]);
+    for (size_t i = 0; i < summaries.size(); ++i) {
+      schemas[i] = InferElement(*summaries[i], xsd);
     }
   }
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    if (!models[i].ok()) return models[i].status();
-    dtd.elements[symbols[i]] = std::move(models[i].value());
+  return schemas;
+}
+
+std::vector<ElementSchemaRef> DtdInferrer::Refs(
+    const std::vector<ElementSchema>& schemas) const {
+  std::vector<ElementSchemaRef> refs;
+  refs.reserve(schemas.size());
+  size_t i = 0;
+  for (const auto& [symbol, summary] : store_.elements()) {
+    refs.emplace_back(symbol, &schemas[i++]);
   }
-  if (options_.infer_attributes) {
-    for (const auto& [symbol, summary] : store_.elements()) {
-      for (const auto& [name, count] : summary.attribute_counts) {
-        Dtd::AttributeDef def;
-        def.name = name;
-        def.type = "CDATA";
-        def.default_decl =
-            count == summary.occurrences ? "#REQUIRED" : "#IMPLIED";
-        dtd.attributes[symbol].push_back(std::move(def));
-      }
+  return refs;
+}
+
+Result<Dtd> DtdInferrer::InferDtd(int num_threads) const {
+  std::vector<ElementSchema> schemas =
+      InferElements(/*xsd=*/false, num_threads);
+  return AssembleDtd(store_.Root(), Refs(schemas));
+}
+
+Result<std::string> DtdInferrer::InferXsd(int num_threads) const {
+  std::vector<ElementSchema> schemas =
+      InferElements(/*xsd=*/true, num_threads);
+  return AssembleXsd(store_.Root(), Refs(schemas), alphabet_);
+}
+
+Result<Dtd> DtdInferrer::AssembleDtd(
+    Symbol root, const std::vector<ElementSchemaRef>& elements) {
+  if (elements.empty()) {
+    return Status::FailedPrecondition("no documents have been added");
+  }
+  Dtd dtd;
+  dtd.root = root;
+  for (const auto& [symbol, schema] : elements) {
+    if (!schema->model.ok()) return schema->model.status();
+    dtd.elements.emplace_hint(dtd.elements.end(), symbol, *schema->model);
+  }
+  for (const auto& [symbol, schema] : elements) {
+    if (!schema->attributes.empty()) {
+      dtd.attributes.emplace_hint(dtd.attributes.end(), symbol,
+                                  schema->attributes);
     }
   }
   return dtd;
+}
+
+Result<std::string> DtdInferrer::AssembleXsd(
+    Symbol root, const std::vector<ElementSchemaRef>& elements,
+    const Alphabet& alphabet) {
+  Result<Dtd> dtd = AssembleDtd(root, elements);
+  if (!dtd.ok()) return dtd.status();
+  std::map<Symbol, XsdElementExtras> extras;
+  for (const auto& [symbol, schema] : elements) {
+    extras.emplace_hint(extras.end(), symbol, schema->xsd);
+  }
+  obs::StageSpan span(obs::Stage::kEmit);
+  return WriteXsd(*dtd, alphabet, extras);
 }
 
 std::string DtdInferrer::SaveState() const { return store_.Save(alphabet_); }
 
 Status DtdInferrer::LoadState(std::string_view serialized) {
   return store_.Load(serialized, &alphabet_);
-}
-
-Result<std::string> DtdInferrer::InferXsd(bool numeric_predicates,
-                                          int num_threads) const {
-  Result<Dtd> dtd = InferDtd(num_threads);
-  if (!dtd.ok()) return dtd.status();
-  std::map<Symbol, XsdElementExtras> extras;
-  for (const auto& [symbol, summary] : store_.elements()) {
-    XsdElementExtras extra;
-    if (numeric_predicates) {
-      auto model = dtd.value().elements.find(symbol);
-      if (model != dtd.value().elements.end() &&
-          model->second.kind == ContentKind::kChildren) {
-        extra.numeric = AnnotateNumericFromHistograms(
-            model->second.regex, summary.crx.histograms(),
-            summary.crx.empty_count());
-      }
-    }
-    if (summary.has_text) {
-      extra.text_type = InferSimpleType(summary.text_samples);
-    }
-    extras[symbol] = std::move(extra);
-  }
-  obs::StageSpan span(obs::Stage::kEmit);
-  return WriteXsd(dtd.value(), alphabet_, extras);
 }
 
 }  // namespace condtd

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "alphabet/alphabet.h"
@@ -53,6 +54,24 @@ struct InferenceOptions {
   int batch_docs = 32;
 };
 
+/// One element's share of a schema, learned from its summary alone
+/// (DtdInferrer::InferElement). Nothing in it depends on another
+/// element, which is what lets a reader keep the shares of unchanged
+/// summaries between answers (the serve daemon's QUERY memo).
+struct ElementSchema {
+  /// The content model, or the error learning it failed with.
+  Result<ContentModel> model = Status::Internal("element not learned");
+  /// <!ATTLIST> definitions in attribute-name order (none unless
+  /// `infer_attributes`).
+  std::vector<Dtd::AttributeDef> attributes;
+  /// XSD only: the content model's numeric occurrence bounds and the
+  /// text datatype.
+  XsdElementExtras xsd;
+};
+
+/// An element and its learned share, as the assemblers take them.
+using ElementSchemaRef = std::pair<Symbol, const ElementSchema*>;
+
 /// The end-to-end DTD inference engine of the paper. Feed it documents
 /// (or raw per-element words); it maintains only the incremental
 /// summaries of Section 9 — a SummaryStore of per-element
@@ -99,12 +118,11 @@ class DtdInferrer {
   /// `other` must not alias this.
   void MergeFrom(const DtdInferrer& other);
 
-  /// Runs the configured learner per element and assembles a DTD. The
-  /// root is the unique root observed across documents (or the one root
-  /// that is never a child). Elements are fully independent, so with
-  /// `num_threads` > 1 the per-element learner calls run on that many
-  /// threads (the inferrer itself is only read); the assembled DTD is
-  /// identical to the sequential result.
+  /// Runs InferElement on every element and assembles a DTD
+  /// (AssembleDtd, rooted at SummaryStore::Root). Elements are fully
+  /// independent, so with `num_threads` > 1 the per-element learner
+  /// calls run on that many threads (the inferrer itself is only read);
+  /// the assembled DTD is identical to the sequential result.
   Result<Dtd> InferDtd(int num_threads = 1) const;
 
   /// Content model for a single element (EMPTY/#PCDATA/mixed detection
@@ -112,10 +130,27 @@ class DtdInferrer {
   Result<ContentModel> InferContentModel(Symbol element) const;
 
   /// DTD plus per-element numeric/datatype extras rendered as an XSD
-  /// (Section 9, "Generation of XSDs" + "Numerical predicates").
-  /// `num_threads` is forwarded to InferDtd.
-  Result<std::string> InferXsd(bool numeric_predicates = true,
-                               int num_threads = 1) const;
+  /// (Section 9, "Generation of XSDs" + "Numerical predicates"), through
+  /// InferElement and AssembleXsd. `num_threads` as for InferDtd.
+  Result<std::string> InferXsd(int num_threads = 1) const;
+
+  /// The per-element step of InferDtd/InferXsd: learns one element's
+  /// share of the schema from `summary` alone, with this inferrer's
+  /// learner and options. `xsd` adds the XSD extras.
+  ElementSchema InferElement(const ElementSummary& summary, bool xsd) const;
+
+  /// The assembling step of InferDtd: one DTD over `elements`, listed in
+  /// ascending symbol order. The first element whose model failed
+  /// decides the error; no elements fail with "no documents have been
+  /// added".
+  static Result<Dtd> AssembleDtd(Symbol root,
+                                 const std::vector<ElementSchemaRef>& elements);
+
+  /// The assembling step of InferXsd: AssembleDtd plus the elements' XSD
+  /// extras, rendered with `alphabet`'s names.
+  static Result<std::string> AssembleXsd(
+      Symbol root, const std::vector<ElementSchemaRef>& elements,
+      const Alphabet& alphabet);
 
   /// Number of element occurrences folded for `element`.
   int64_t WordCount(Symbol element) const;
@@ -137,7 +172,13 @@ class DtdInferrer {
   Status LoadState(std::string_view serialized);
 
  private:
+  Result<ContentModel> LearnContentModel(const ElementSummary& summary) const;
   Result<ReRef> LearnRegex(const ElementSummary& summary) const;
+  /// InferElement over every element, on up to `num_threads` threads.
+  std::vector<ElementSchema> InferElements(bool xsd, int num_threads) const;
+  /// Pairs every element with its entry of `schemas` for the assemblers.
+  std::vector<ElementSchemaRef> Refs(
+      const std::vector<ElementSchema>& schemas) const;
 
   InferenceOptions options_;
   LearnOptions learn_options_;

@@ -11,8 +11,19 @@ IngestSession::IngestSession(InferenceOptions options)
 
 Status IngestSession::Ingest(std::string_view xml) {
   std::lock_guard<std::mutex> lock(mu_);
+  const int names = inferrer_.alphabet()->size();
   Status status = folder_.AddXml(xml);
   if (!status.ok()) {
+    // The rollback left zero-count dedup-cache entries for the words
+    // this document completed. Kept, a later document holding the same
+    // word would fold it at the rejected one's first-occurrence
+    // position, and one whose new name reused a forgotten id would
+    // inherit such an entry. Flush drops them (and, like the flush of
+    // every snapshot, changes nothing a later fold sees); then no
+    // summary, mark or cache entry refers to the names first seen in
+    // this document, and they are forgotten.
+    folder_.Flush();
+    inferrer_.alphabet()->Truncate(names);
     failed_.fetch_add(1, std::memory_order_relaxed);
     return status;
   }
@@ -45,18 +56,35 @@ void IngestSession::MergeFrom(const DtdInferrer& other) {
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
-void IngestSession::Snapshot(DtdInferrer* reader, int64_t* epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  folder_.Flush();
-  reader->MergeFrom(inferrer_);
-  if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_relaxed);
-}
-
 void IngestSession::Snapshot(std::string* state, int64_t* epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   folder_.Flush();
   *state = inferrer_.SaveState();
   if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_relaxed);
+}
+
+void IngestSession::SnapshotChanged(const std::vector<uint64_t>& known,
+                                    Alphabet* alphabet,
+                                    SummaryDelta* delta) {
+  std::lock_guard<std::mutex> lock(mu_);
+  folder_.Flush();
+  const Alphabet& names = *inferrer_.alphabet();
+  for (Symbol s = alphabet->size(); s < names.size(); ++s) {
+    alphabet->Intern(names.Name(s));
+  }
+  const SummaryStore& store = inferrer_.summaries();
+  delta->root = store.Root();
+  delta->versions.clear();
+  delta->changed.clear();
+  delta->versions.reserve(store.elements().size());
+  for (const auto& [symbol, summary] : store.elements()) {
+    const uint64_t version = store.version(symbol);
+    delta->versions.emplace_back(symbol, version);
+    const size_t index = static_cast<size_t>(symbol);
+    if ((index < known.size() ? known[index] : 0) != version) {
+      delta->changed.emplace_back(symbol, summary);
+    }
+  }
 }
 
 void IngestSession::RestoreCounterFloors(int64_t documents, int64_t failed,

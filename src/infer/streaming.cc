@@ -113,9 +113,12 @@ void StreamingFolder::CommitDocument() {
   obs::CounterAdd(obs::Counter::kDocumentsIngested, 1);
   // One store touch per distinct symbol this document, not one per
   // occurrence; occurrence sums and has_text are order-insensitive.
+  // Samples and attributes below only go to these symbols, so stamping
+  // them here covers every summary the commit writes.
   for (Symbol s : doc_touched_) {
     const size_t idx = static_cast<size_t>(s);
     ElementSummary& summary = EnsureState(s);
+    store_->MarkChanged(s);
     summary.occurrences += doc_occurrences_[idx];
     if (doc_has_text_[idx] != 0) summary.has_text = true;
   }
@@ -183,6 +186,7 @@ void StreamingFolder::ResetDocument() {
 void StreamingFolder::FoldWeighted(Symbol element, const Word& word,
                                    int64_t count) {
   EnsureState(element).AddChildWord(word, count, store_->limits());
+  store_->MarkChanged(element);
   ++weighted_folds_;
 }
 

@@ -140,7 +140,8 @@ class StreamingFolder {
   /// pointer-stable, so cached entries stay valid across inserts.
   ElementSummary* FindState(Symbol symbol);
   /// As FindState but creates (and caches) the entry — commit and
-  /// flush only.
+  /// flush only. A cached entry bypasses SummaryStore::Ensure, so every
+  /// write through it is followed by a SummaryStore::MarkChanged.
   ElementSummary& EnsureState(Symbol symbol);
 
   Frame& PushFrame(Symbol symbol);

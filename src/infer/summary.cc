@@ -99,7 +99,15 @@ SummaryStore::SummaryStore(SummaryLimits limits) : limits_(limits) {}
 ElementSummary& SummaryStore::Ensure(Symbol symbol) {
   auto [it, inserted] = elements_.try_emplace(symbol);
   if (inserted) it->second.words_complete = limits_.max_retained_words > 0;
+  MarkChanged(symbol);
   return it->second;
+}
+
+void SummaryStore::MarkChanged(Symbol symbol) {
+  if (symbol >= static_cast<Symbol>(versions_.size())) {
+    versions_.resize(symbol + 1, 0);
+  }
+  versions_[symbol] = ++clock_;
 }
 
 ElementSummary* SummaryStore::Find(Symbol symbol) {
@@ -123,6 +131,22 @@ bool SummaryStore::SeenAsChild(Symbol symbol) const {
   return symbol >= 0 &&
          symbol < static_cast<Symbol>(seen_as_child_.size()) &&
          seen_as_child_[symbol];
+}
+
+Symbol SummaryStore::Root() const {
+  Symbol root = kInvalidSymbol;
+  int64_t best = -1;
+  for (const auto& [symbol, count] : root_counts_) {
+    if (count > best) {
+      best = count;
+      root = symbol;
+    }
+  }
+  if (root != kInvalidSymbol || elements_.empty()) return root;
+  for (const auto& [symbol, summary] : elements_) {
+    if (!SeenAsChild(symbol)) return symbol;
+  }
+  return elements_.begin()->first;
 }
 
 void SummaryStore::MergeFrom(const SummaryStore& other,
@@ -479,7 +503,7 @@ size_t ElementSummary::ApproxBytes() const {
 size_t SummaryStore::ApproxBytes() const {
   size_t bytes = sizeof(*this);
   bytes += TreeBytes(elements_) + TreeBytes(root_counts_) +
-           VectorBytes(seen_as_child_);
+           VectorBytes(seen_as_child_) + VectorBytes(versions_);
   for (const auto& [symbol, summary] : elements_) {
     (void)symbol;
     bytes += summary.ApproxBytes();

@@ -108,7 +108,8 @@ class SummaryStore {
 
   const SummaryLimits& limits() const { return limits_; }
 
-  /// Finds or creates the summary for `symbol`. New summaries start
+  /// Finds or creates the summary for `symbol` and stamps it with a new
+  /// version (the caller is about to write it). New summaries start
   /// words-complete iff the reservoir is enabled (their — empty —
   /// reservoir then reflects every word folded so far).
   ElementSummary& Ensure(Symbol symbol);
@@ -131,6 +132,29 @@ class SummaryStore {
 
   void MarkSeenAsChild(Symbol symbol);
   bool SeenAsChild(Symbol symbol) const;
+
+  /// The schema's root: the most frequent document root (the lowest
+  /// symbol on a tie); with no roots recorded (direct AddWords use), the
+  /// first element never seen as a child, else the first element.
+  /// kInvalidSymbol for an empty store.
+  Symbol Root() const;
+
+  /// The element's version: a store-wide stamp that moves whenever
+  /// anything in its summary changes, so a reader that learned from the
+  /// summary at version v need not learn again while it reads v. 0 for
+  /// a symbol with no summary. Versions live only in memory: Save never
+  /// writes them, and they mean nothing outside the store that stamped
+  /// them.
+  uint64_t version(Symbol symbol) const {
+    return symbol >= 0 && symbol < static_cast<Symbol>(versions_.size())
+               ? versions_[symbol]
+               : 0;
+  }
+  /// Stamps `symbol` with a new version. The store's own writers
+  /// (Ensure, MergeFrom, Load) stamp for themselves; a caller that keeps
+  /// a summary pointer and writes through it later — the streaming
+  /// fold's pointer cache — stamps each element it writes.
+  void MarkChanged(Symbol symbol);
 
   /// Merges `other` into this store, translating its symbols through
   /// `remap` (indexed by the other store's symbol ids — build it by
@@ -164,6 +188,9 @@ class SummaryStore {
   /// Dense flat set keyed by symbol id (symbols are small dense ints;
   /// this is touched once per child element parsed).
   std::vector<bool> seen_as_child_;
+  /// Per-symbol versions (0 = no summary) and the clock that stamps them.
+  std::vector<uint64_t> versions_;
+  uint64_t clock_ = 0;
 };
 
 }  // namespace condtd

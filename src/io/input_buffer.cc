@@ -1,5 +1,7 @@
 #include "io/input_buffer.h"
 
+#include <unistd.h>
+
 #include <utility>
 
 #include "base/file.h"
@@ -7,10 +9,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CONDTD_HAVE_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace condtd {
@@ -64,64 +63,36 @@ InputBuffer InputBuffer::FromString(std::string content) {
 
 Result<InputBuffer> InputBuffer::Open(const std::string& path,
                                       const Options& options) {
+  // One open for both routes; only regular files get past it.
+  int fd = -1;
+  size_t size = 0;
+  CONDTD_RETURN_IF_ERROR(OpenRegularFile(path, &fd, &size));
 #ifdef CONDTD_HAVE_MMAP
-  if (options.allow_mmap) {
-    // O_NONBLOCK so that open() can never hang on a writer-less FIFO —
-    // the daemon receives arbitrary client paths. For regular files the
-    // flag is a no-op.
-    int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
+  // mmap with length 0 is EINVAL, so empty files always take the
+  // buffered path regardless of the threshold.
+  if (options.allow_mmap && size > 0 && size >= options.min_mmap_bytes) {
+    void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (base == MAP_FAILED) {
       return Status::InvalidArgument("error while reading: " + path);
     }
-    // Only regular files reach the mapping or buffered-read paths;
-    // everything else gets a crisp error instead of a hang (FIFO) or a
-    // confusing read failure (directory, device, socket).
-    if (S_ISDIR(st.st_mode)) {
-      ::close(fd);
-      return Status::InvalidArgument("is a directory: " + path);
-    }
-    if (!S_ISREG(st.st_mode)) {
-      ::close(fd);
-      return Status::InvalidArgument(
-          "not a regular file (fifo/device/socket): " + path);
-    }
-    // mmap with length 0 is EINVAL, so empty files always take the
-    // buffered path regardless of the threshold.
-    const bool mappable = st.st_size > 0 &&
-                          static_cast<size_t>(st.st_size) >=
-                              options.min_mmap_bytes;
-    if (mappable) {
-      void* base = ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                          PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (base == MAP_FAILED) {
-        return Status::InvalidArgument("error while reading: " + path);
-      }
 #ifdef MADV_SEQUENTIAL
-      // Single forward pass: tell the kernel to read ahead aggressively
-      // and drop pages behind the scan.
-      ::madvise(base, static_cast<size_t>(st.st_size), MADV_SEQUENTIAL);
+    // Single forward pass: tell the kernel to read ahead aggressively
+    // and drop pages behind the scan.
+    ::madvise(base, size, MADV_SEQUENTIAL);
 #endif
-      InputBuffer buffer;
-      buffer.mapped_ = base;
-      buffer.mapped_bytes_ = static_cast<size_t>(st.st_size);
-      buffer.view_ = std::string_view(static_cast<const char*>(base),
-                                      buffer.mapped_bytes_);
-      obs::SchedAdd(obs::SchedCounter::kMmapReads, 1);
-      return buffer;
-    }
-    ::close(fd);
-    // A regular file too small to be worth mapping: fall through to the
-    // buffered path below (which re-checks the file class itself, for
-    // the no-mmap and no-MMU configurations).
+    InputBuffer buffer;
+    buffer.mapped_ = base;
+    buffer.mapped_bytes_ = size;
+    buffer.view_ = std::string_view(static_cast<const char*>(base), size);
+    obs::SchedAdd(obs::SchedCounter::kMmapReads, 1);
+    return buffer;
   }
 #endif
-  Result<std::string> content = ReadFileToString(path);
+  // A small file, --no-mmap or no mmap at all: read through the
+  // descriptor already open.
+  Result<std::string> content = ReadOpenFile(fd, size, path);
+  ::close(fd);
   if (!content.ok()) return content.status();
   obs::SchedAdd(obs::SchedCounter::kBufferedReads, 1);
   return FromString(std::move(content).value());

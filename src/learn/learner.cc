@@ -187,4 +187,10 @@ std::string LearnerRegistry::NamesForDisplay(const char* separator) const {
   return out;
 }
 
+Status LearnerRegistry::UnknownName(std::string_view name) const {
+  return Status::InvalidArgument("unknown learner '" + std::string(name) +
+                                 "' (registered: " + NamesForDisplay(", ") +
+                                 ")");
+}
+
 }  // namespace condtd

@@ -103,6 +103,10 @@ class LearnerRegistry {
   /// unknown-name errors.
   std::string NamesForDisplay(const char* separator) const;
 
+  /// The InvalidArgument status for a `name` no learner is registered
+  /// under, listing the registered names.
+  Status UnknownName(std::string_view name) const;
+
  private:
   std::vector<std::unique_ptr<Learner>> learners_;
 };

@@ -34,6 +34,7 @@ constexpr std::array<std::string_view,
         "serve_query_cache_hits", "serve_request_errors",
         "journal_appends", "journal_replayed_docs", "snapshots_written",
         "journal_compactions", "corpora_evicted", "http_requests",
+        "query_elements_relearned", "query_elements_reused",
 };
 
 constexpr std::array<std::string_view, static_cast<size_t>(Gauge::kNumGauges)>
@@ -54,6 +55,7 @@ constexpr std::array<std::string_view, static_cast<size_t>(Stage::kNumStages)>
         "two_t_inf", "crx_fold",      "dedup_commit",  "shard_merge",
         "learn",     "rewrite",       "repair",        "crx_infer",
         "emit",      "serve_ingest",  "serve_query",   "journal_replay",
+        "query_copy",
 };
 
 int BucketOf(int64_t elapsed_ns) {

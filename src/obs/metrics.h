@@ -82,7 +82,7 @@ enum class SchedCounter : int {
   kDenseFoldFallbacks,  ///< summary folds above the dense-ID window
   kServeIngestRequests,  ///< daemon INGEST commands handled
   kServeQueryRequests,   ///< daemon QUERY commands handled
-  kServeQueryCacheHits,  ///< QUERYs answered from the epoch cache
+  kServeQueryCacheHits,  ///< QUERYs answered without re-learning any element
   kServeRequestErrors,   ///< daemon commands answered with ERR
   kJournalAppends,       ///< durable journal records written
   kJournalReplayedDocs,  ///< documents re-folded during crash recovery
@@ -90,6 +90,8 @@ enum class SchedCounter : int {
   kJournalCompactions,   ///< rotations forced by --compact-journal-bytes
   kCorporaEvicted,       ///< idle corpora snapshotted-and-closed
   kHttpRequests,         ///< /metrics + /healthz requests served
+  kQueryElementsRelearned,  ///< elements a QUERY learned (summary changed)
+  kQueryElementsReused,     ///< elements a QUERY took from its memo
   kNumSchedCounters,
 };
 
@@ -124,8 +126,9 @@ enum class Stage : int {
   kCrxInfer,        ///< CRX Algorithm 3 runs
   kEmit,            ///< DTD/XSD serialization
   kServeIngest,     ///< daemon: one INGEST command (journal + fold)
-  kServeQuery,      ///< daemon: one QUERY command (snapshot + learn + emit)
+  kServeQuery,      ///< daemon: one QUERY command (copy + learn + emit)
   kJournalReplay,   ///< daemon: whole-journal replay at recovery
+  kQueryCopy,       ///< daemon: QUERY's flush and copy of changed summaries
   kNumStages,
 };
 

@@ -17,6 +17,7 @@
 #include "base/strings.h"
 #include "dtd/dtd_writer.h"
 #include "infer/engine.h"
+#include "learn/learner.h"
 #include "obs/metrics.h"
 
 namespace condtd {
@@ -252,50 +253,82 @@ Result<std::string> Corpus::Query(const std::string& algorithm, bool xsd) {
   obs::StageSpan span(obs::Stage::kServeQuery);
   int64_t start_ns = NowNs();
   obs::SchedAdd(obs::SchedCounter::kServeQueryRequests, 1);
-  std::string key = (xsd ? "xsd:" : "dtd:") + algorithm;
-
-  // Serve from cache when the corpus is unchanged since this exact
-  // question was last answered. The epoch is captured together with the
-  // snapshot below, so the cache can never hold a schema newer or older
-  // than its recorded epoch.
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++queries_;
-    if (cached_epoch_ == session_.epoch() && cached_key_ == key) {
-      ++query_cache_hits_;
-      obs::SchedAdd(obs::SchedCounter::kServeQueryCacheHits, 1);
-      query_latency_.Record(NowNs() - start_ns);
-      return cached_schema_;
-    }
+  }
+  const std::string& learner =
+      algorithm.empty() ? options_.inference.learner : algorithm;
+  // A client inventing learner names must not grow the daemon: an
+  // unknown name is refused before any copy and gets no memo.
+  if (LearnerRegistry::Global().Find(learner) == nullptr) {
+    return LearnerRegistry::Global().UnknownName(learner);
   }
 
-  // Consistent snapshot, then learn entirely off the ingest path: a
-  // fresh inferrer holding a copy of the session's summaries answers for
-  // the snapshot's document prefix while writers keep folding.
-  InferenceOptions inference = options_.inference;
-  if (!algorithm.empty()) inference.learner = algorithm;
-  DtdInferrer reader(inference);
-  int64_t epoch = 0;
-  session_.Snapshot(&reader, &epoch);
+  QueryMemo* found = nullptr;
+  {
+    std::lock_guard<std::mutex> memos_lock(memos_mu_);
+    std::string key = (xsd ? "xsd:" : "dtd:") + learner;
+    auto memo_it = memos_.find(key);
+    if (memo_it == memos_.end()) {
+      InferenceOptions inference = options_.inference;
+      inference.learner = learner;
+      memo_it = memos_.try_emplace(std::move(key), inference).first;
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++query_memos_;
+    }
+    found = &memo_it->second;
+  }
+  QueryMemo& memo = *found;
+  std::lock_guard<std::mutex> memo_lock(memo.mu);
+
+  // Copy only what moved since this memo last learned it; everything
+  // else is answered from the memo. Learning runs off the session lock,
+  // while writers keep folding.
+  SummaryDelta delta;
+  {
+    obs::StageSpan copy_span(obs::Stage::kQueryCopy);
+    session_.SnapshotChanged(memo.versions, &memo.names, &delta);
+  }
+  if (!delta.versions.empty()) {
+    size_t size = static_cast<size_t>(delta.versions.back().first) + 1;
+    if (memo.versions.size() < size) {
+      memo.versions.resize(size, 0);
+      memo.schemas.resize(size);
+    }
+  }
+  for (const auto& [symbol, summary] : delta.changed) {
+    memo.schemas[symbol] = memo.learner.InferElement(summary, xsd);
+  }
+  std::vector<ElementSchemaRef> elements;
+  elements.reserve(delta.versions.size());
+  for (const auto& [symbol, version] : delta.versions) {
+    memo.versions[symbol] = version;
+    elements.emplace_back(symbol, &memo.schemas[symbol]);
+  }
+  const int64_t relearned = static_cast<int64_t>(delta.changed.size());
+  obs::SchedAdd(obs::SchedCounter::kQueryElementsRelearned, relearned);
+  obs::SchedAdd(obs::SchedCounter::kQueryElementsReused,
+                static_cast<int64_t>(elements.size()) - relearned);
 
   std::string schema;
   if (xsd) {
-    Result<std::string> rendered = reader.InferXsd(
-        /*numeric_predicates=*/true);
+    Result<std::string> rendered =
+        DtdInferrer::AssembleXsd(delta.root, elements, memo.names);
     if (!rendered.ok()) return rendered.status();
     schema = std::move(*rendered);
   } else {
-    Result<Dtd> dtd = reader.InferDtd();
+    Result<Dtd> dtd = DtdInferrer::AssembleDtd(delta.root, elements);
     if (!dtd.ok()) return dtd.status();
-    schema = WriteDtd(*dtd, *reader.alphabet());
+    obs::StageSpan emit_span(obs::Stage::kEmit);
+    schema = WriteDtd(*dtd, memo.names);
   }
 
   std::lock_guard<std::mutex> lock(stats_mu_);
-  // Last-writer-wins is fine: any stored (epoch, key, schema) triple is
-  // internally consistent.
-  cached_epoch_ = epoch;
-  cached_key_ = key;
-  cached_schema_ = schema;
+  if (relearned == 0) {
+    ++query_cache_hits_;
+    obs::SchedAdd(obs::SchedCounter::kServeQueryCacheHits, 1);
+  }
   query_latency_.Record(NowNs() - start_ns);
   return schema;
 }
@@ -408,6 +441,7 @@ CorpusStats Corpus::GetStats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats.queries = queries_;
   stats.query_cache_hits = query_cache_hits_;
+  stats.query_memos = query_memos_;
   stats.snapshots = snapshots_;
   stats.compactions = compactions_;
   stats.ingest_latency = ingest_latency_;

@@ -2,10 +2,12 @@
 #define CONDTD_SERVE_CORPUS_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/status.h"
 #include "infer/inferrer.h"
@@ -23,7 +25,8 @@ struct CorpusStats {
   int64_t failed_documents = 0; ///< rejected documents (parse/open errors)
   int64_t bytes_ingested = 0;   ///< raw XML bytes of ingested documents
   int64_t queries = 0;
-  int64_t query_cache_hits = 0;
+  int64_t query_cache_hits = 0; ///< QUERYs that re-learned no element
+  int64_t query_memos = 0;      ///< (learner, format) memos held
   int64_t snapshots = 0;        ///< snapshot rotations since open
   int64_t compactions = 0;      ///< rotations forced by journal size
   int64_t replayed_documents = 0; ///< journal records replayed at open
@@ -37,7 +40,7 @@ struct CorpusStats {
 
 /// One tenant corpus in the serve daemon: a live IngestSession plus its
 /// durability (generational snapshot + append-only journal) and its
-/// epoch-keyed schema cache.
+/// per-element QUERY memo.
 ///
 /// Durability protocol (docs/STATE_FORMAT.md, "serve durability"):
 /// every Ingest folds the document into the session FIRST, appends it
@@ -50,9 +53,12 @@ struct CorpusStats {
 /// instant leaves either the old generation fully intact or the new
 /// one fully current — documents are never lost or double-folded.
 ///
-/// Concurrency: one writer at a time (ingest_mu_); readers (Query)
-/// copy a consistent session snapshot into their own inferrer and learn
-/// entirely off-lock, so long learner runs never stall ingestion.
+/// Concurrency: one writer at a time (ingest_mu_) and one reader at a
+/// time per memo (QueryMemo::mu); QUERYs for different learners or
+/// formats run side by side. A reader copies the summaries that changed
+/// since its memo last learned them (IngestSession::SnapshotChanged)
+/// and learns them off the session lock, so long learner runs never
+/// stall ingestion.
 class Corpus {
  public:
   struct Options {
@@ -98,9 +104,12 @@ class Corpus {
 
   /// Learns a schema from a consistent snapshot of the current state.
   /// `algorithm` overrides the corpus learner by registry name (empty =
-  /// corpus default); `xsd` selects XSD output instead of DTD. Served
-  /// from the schema cache when the corpus has not changed since the
-  /// same question was last answered.
+  /// corpus default); `xsd` selects XSD output instead of DTD. Each
+  /// (learner, format) pair keeps a memo of what it learned per element
+  /// and the summary version it learned it from; a QUERY re-learns only
+  /// the elements whose version moved. The answer is byte-identical to
+  /// a fresh inference over the same state. An unregistered learner
+  /// name fails before any copy and creates no memo.
   Result<std::string> Query(const std::string& algorithm, bool xsd);
 
   /// Rotates the durability generation: writes a fresh snapshot of the
@@ -150,13 +159,34 @@ class Corpus {
   int64_t replayed_documents_ = 0;
   bool journal_broken_ = false;
 
-  /// Guards the schema cache and the non-session counters.
+  /// What QUERY learned for one (learner, format) pair, indexed by
+  /// symbol: the summary version each element was learned at (0 =
+  /// never) and what it contributes to the schema.
+  struct QueryMemo {
+    explicit QueryMemo(const InferenceOptions& inference)
+        : learner(inference) {}
+    /// Serializes the QUERYs that share this memo, so a second one
+    /// finds the first one's results. Guards the fields below.
+    std::mutex mu;
+    /// Holds no summaries; its learner and options learn the elements.
+    DtdInferrer learner;
+    /// The session's names as of this memo's last QUERY; ids equal the
+    /// session's.
+    Alphabet names;
+    std::vector<uint64_t> versions;
+    std::vector<ElementSchema> schemas;
+  };
+
+  /// Guards the map, not the memos in it (map nodes never move).
+  std::mutex memos_mu_;
+  /// At most one per registered learner and format.
+  std::map<std::string, QueryMemo> memos_;
+
+  /// Guards the non-session counters.
   mutable std::mutex stats_mu_;
-  int64_t cached_epoch_ = -1;
-  std::string cached_key_;
-  std::string cached_schema_;
   int64_t queries_ = 0;
   int64_t query_cache_hits_ = 0;
+  int64_t query_memos_ = 0;
   int64_t snapshots_ = 0;
   int64_t compactions_ = 0;
   obs::StageStats ingest_latency_;

@@ -137,7 +137,7 @@ std::string RenderPrometheusText(
                "QUERY commands answered.",
                [](const CorpusStats& s) { return s.queries; });
   CorpusFamily(out, corpora, "condtd_corpus_query_cache_hits_total",
-               "counter", "QUERYs answered from the epoch cache.",
+               "counter", "QUERYs that re-learned no element.",
                [](const CorpusStats& s) { return s.query_cache_hits; });
   CorpusFamily(out, corpora, "condtd_corpus_snapshots_total", "counter",
                "Snapshot generation rotations.",

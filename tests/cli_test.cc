@@ -342,12 +342,17 @@ TEST_F(CliTest, StatsFlagEmitsReportWithoutChangingTheSchema) {
 TEST_F(CliTest, StatsCountersSubtreeIsIdenticalAcrossJobs) {
   // Returns the `counters` subtree; also requires every job count to
   // open each of the two input files inside an io_read span.
+#ifdef CONDTD_NO_STATS
+  // The kill-switch build compiles the spans out: every count reads 0.
+  const char* io_read = "\"io_read\": {\"count\": 0,";
+#else
+  const char* io_read = "\"io_read\": {\"count\": 2,";
+#endif
   auto counters_of = [&](const std::string& jobs_flag) {
     CommandResult result =
         RunCli("infer --stats=json " + jobs_flag + " " + xml1_ + " " + xml2_);
     EXPECT_EQ(result.exit_code, 0) << result.output;
-    EXPECT_NE(result.output.find("\"io_read\": {\"count\": 2,"),
-              std::string::npos)
+    EXPECT_NE(result.output.find(io_read), std::string::npos)
         << jobs_flag << ": " << result.output;
     size_t start = result.output.find("\"counters\": {");
     size_t end = result.output.find('}', start);

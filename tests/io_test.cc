@@ -4,12 +4,17 @@
 // DTD, which is what lets the CLI pick a path per file (size threshold,
 // --no-mmap) without affecting output.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -109,6 +114,34 @@ TEST(InputBuffer, EmptyFileYieldsEmptyView) {
   }
 }
 
+TEST(InputBuffer, BufferedAndMappedViewsAreByteIdenticalAtPageEdges) {
+  // The buffered route reads st_size bytes through the descriptor the
+  // open already holds; around a page boundary it must hand over exactly
+  // the bytes the mapping does, whichever route the options pick.
+  for (size_t size : {1, 4095, 4096, 16383}) {
+    std::string content(size, '\0');
+    for (size_t i = 0; i < size; ++i) {
+      content[i] = static_cast<char>('a' + (i * 7 + i / 13) % 26);
+    }
+    TempFile file(content);
+    for (bool allow_mmap : {true, false}) {
+      for (size_t min_mmap_bytes : {size_t{0}, size_t{16 * 1024}}) {
+        InputBuffer::Options options;
+        options.allow_mmap = allow_mmap;
+        options.min_mmap_bytes = min_mmap_bytes;
+        Result<InputBuffer> buffer = InputBuffer::Open(file.path(), options);
+        ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
+        EXPECT_EQ(buffer->is_mapped(), allow_mmap && min_mmap_bytes == 0)
+            << size;
+        EXPECT_EQ(buffer->view(), content) << size;
+      }
+    }
+    Result<std::string> read = ReadFileToString(file.path());
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, content) << size;
+  }
+}
+
 TEST(InputBuffer, MissingFileKeepsTheLegacyErrorMessage) {
   Result<InputBuffer> buffer =
       InputBuffer::Open("/nonexistent/condtd_io_test.xml");
@@ -204,6 +237,44 @@ TEST(InputBuffer, FifoIsRejectedWithoutBlocking) {
   Result<std::string> content = ReadFileToString(path);
   ASSERT_FALSE(content.ok());
   EXPECT_EQ(content.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(InputBuffer, FifoWithABlockedWriterIsNeverOpened) {
+  // Opening and closing a FIFO releases a writer blocked in its
+  // open(O_WRONLY), which then writes into a pipe without a reader.
+  // Refusing the path must leave that writer blocked.
+  std::string path = "/tmp/condtd_io_test_fifo_writer";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::atomic<bool> writer_opened{false};
+  int writer_fd = -1;
+  std::thread writer([&path, &writer_opened, &writer_fd] {
+    writer_fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    writer_opened.store(true);
+  });
+  // Let the writer reach its blocking open first: an open of the FIFO
+  // before that point would release nothing and go unnoticed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Result<std::string> content = ReadFileToString(path);
+  ASSERT_FALSE(content.ok());
+  EXPECT_NE(content.status().message().find("not a regular file"),
+            std::string::npos)
+      << content.status().ToString();
+  for (bool allow_mmap : {true, false}) {
+    InputBuffer::Options options;
+    options.allow_mmap = allow_mmap;
+    EXPECT_FALSE(InputBuffer::Open(path, options).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(writer_opened.load()) << "the FIFO was opened";
+  // A reader's open completes the writer's.
+  int reader_fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  writer.join();
+  EXPECT_GE(reader_fd, 0);
+  EXPECT_GE(writer_fd, 0);
+  if (reader_fd >= 0) ::close(reader_fd);
+  if (writer_fd >= 0) ::close(writer_fd);
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,8 @@
 // against hundreds of random target expressions and checked against the
 // invariant oracles of src/check (sample inclusion, one-unambiguity,
 // SORE/CHARE validity, the Theorem 1/2 language guarantees), plus the
-// merge-algebra, ingestion-equivalence and DTD round-trip properties.
+// merge-algebra, ingestion-equivalence, incremental-query and DTD
+// round-trip properties.
 //
 // Every failure prints a one-line reproduction recipe; re-run with
 // CONDTD_PROPERTY_SEED=<printed seed> to replay the failing instance as
@@ -25,6 +26,7 @@ constexpr int kInterleavingInstances = 250;  // two learners per instance
 constexpr int kMergeLawInstances = 200;
 constexpr int kRoundTripInstances = 300;
 constexpr int kIngestionInstances = 120;
+constexpr int kIncrementalQueryInstances = 200;
 
 PropertyOptions BaseOptions(int instances) {
   PropertyOptions options;
@@ -94,6 +96,11 @@ TEST(AlgebraProperty, MergeLaws) {
 
 TEST(AlgebraProperty, IngestionEquivalence) {
   ExpectNoFailures(RunIngestionProperty(BaseOptions(kIngestionInstances)));
+}
+
+TEST(AlgebraProperty, IncrementalQuery) {
+  ExpectNoFailures(
+      RunIncrementalQueryProperty(BaseOptions(kIncrementalQueryInstances)));
 }
 
 TEST(AlgebraProperty, DtdRoundTrip) {

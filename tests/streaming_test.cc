@@ -368,6 +368,56 @@ TEST(StreamingDedup, FlushIsIdempotent) {
 
 // --- SAX lexer surface ----------------------------------------------------
 
+// Element versions: the serve daemon's QUERY re-learns an element only
+// when its version moved, so every write must move it — also the ones
+// the fold makes through its pointer cache — and nothing else may.
+TEST(SummaryVersions, EveryWriterStampsAndOnlyWritersStamp) {
+  DtdInferrer inferrer;
+  StreamingFolder folder(&inferrer);
+  const SummaryStore& store = inferrer.summaries();
+  ASSERT_TRUE(folder.AddXml("<a><b/><c>t</c></a>").ok());
+  folder.Flush();
+  const Symbol a = inferrer.alphabet()->Find("a");
+  const Symbol b = inferrer.alphabet()->Find("b");
+  const Symbol c = inferrer.alphabet()->Find("c");
+  EXPECT_EQ(store.version(inferrer.alphabet()->size()), 0u);
+  const uint64_t a0 = store.version(a);
+  const uint64_t b0 = store.version(b);
+  const uint64_t c0 = store.version(c);
+  EXPECT_GT(a0, 0u);
+
+  // The commit writes occurrence counts while the words still wait in
+  // the dedup cache; the flush then folds them: both stamp.
+  ASSERT_TRUE(folder.AddXml("<a><b/><b/></a>").ok());
+  const uint64_t a1 = store.version(a);
+  const uint64_t b1 = store.version(b);
+  EXPECT_GT(a1, a0);
+  EXPECT_GT(b1, b0);
+  EXPECT_EQ(store.version(c), c0);
+  folder.Flush();
+  EXPECT_GT(store.version(a), a1);
+  EXPECT_GT(store.version(b), b1);
+  EXPECT_EQ(store.version(c), c0);
+
+  // A rejected document and a read stamp nothing.
+  const uint64_t a2 = store.version(a);
+  EXPECT_FALSE(folder.AddXml("<a><c>u</c><b>").ok());
+  folder.Flush();
+  ASSERT_TRUE(inferrer.InferDtd().ok());
+  EXPECT_EQ(store.version(a), a2);
+  EXPECT_EQ(store.version(c), c0);
+
+  // The store's own writers: MergeFrom and Load stamp what they touch.
+  DtdInferrer other;
+  ASSERT_TRUE(other.AddXml("<a><c>v</c></a>").ok());
+  inferrer.MergeFrom(other);
+  EXPECT_GT(store.version(c), c0);
+  const uint64_t b2 = store.version(b);
+  ASSERT_TRUE(inferrer.LoadState(other.SaveState()).ok());
+  EXPECT_GT(store.version(a), a2);
+  EXPECT_EQ(store.version(b), b2);
+}
+
 TEST(SaxLexer, EmitsDecodedTextAndAttributes) {
   SaxLexer lexer("<a x=\"1 &amp; 2\" y='&#65;' z>T &lt; U</a>");
   Result<SaxEvent> start = lexer.Next();

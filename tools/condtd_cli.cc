@@ -285,8 +285,7 @@ int RunInfer(const std::vector<std::string>& args) {
   }
   std::string schema;
   if (emit_xsd) {
-    Result<std::string> xsd =
-        inferrer.InferXsd(/*numeric_predicates=*/true, infer_threads);
+    Result<std::string> xsd = inferrer.InferXsd(infer_threads);
     if (!xsd.ok()) {
       std::fprintf(stderr, "inference failed: %s\n",
                    xsd.status().ToString().c_str());
