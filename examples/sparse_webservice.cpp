@@ -8,12 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "crx/crx.h"
 #include "dtd/model.h"
-#include "idtd/idtd.h"
 #include "infer/inferrer.h"
-#include "xml/extract.h"
-#include "xml/parser.h"
 
 int main() {
   // Three early responses from a fictional stock-quote service.
@@ -57,35 +53,23 @@ int main() {
                                            *inferrer.alphabet())
                   .c_str());
 
-  // Contrast with iDTD on the same six child sequences: with this little
-  // data its repair rules have to guess, and the result is a crude
-  // collapsed superset (the paper's motivation for using CRX here).
-  condtd::Alphabet scratch;
-  std::vector<condtd::Word> words;
-  for (const std::string& r : responses) {
-    condtd::Result<condtd::XmlDocument> doc = condtd::ParseXml(r);
-    condtd::ElementContexts ctx =
-        condtd::ExtractContexts(doc.value(), &scratch);
-    for (auto& [sym, ws] : ctx.contexts) {
-      if (scratch.Name(sym) == "quote") {
-        words.insert(words.end(), ws.begin(), ws.end());
-      }
+  // Contrast with iDTD on the same six responses: with this little data
+  // its repair rules have to guess, and the result is a crude collapsed
+  // superset (the paper's motivation for using CRX here).
+  condtd::InferenceOptions idtd_options;
+  idtd_options.learner = "idtd";
+  condtd::DtdInferrer idtd(idtd_options);
+  for (const std::vector<std::string>* batch : {&responses, &more}) {
+    for (const std::string& r : *batch) {
+      if (!idtd.AddXml(r).ok()) return 1;
     }
   }
-  for (const std::string& r : more) {
-    condtd::Result<condtd::XmlDocument> doc = condtd::ParseXml(r);
-    condtd::ElementContexts ctx =
-        condtd::ExtractContexts(doc.value(), &scratch);
-    for (auto& [sym, ws] : ctx.contexts) {
-      if (scratch.Name(sym) == "quote") {
-        words.insert(words.end(), ws.begin(), ws.end());
-      }
-    }
-  }
-  condtd::Result<condtd::ReRef> idtd = condtd::IdtdInfer(words);
-  if (idtd.ok()) {
+  condtd::Result<condtd::ContentModel> idtd_model =
+      idtd.InferContentModel(idtd.alphabet()->Find("quote"));
+  if (idtd_model.ok()) {
     std::printf("iDTD on the same 6 : quote (%s)\n",
-                condtd::ToString(idtd.value(), scratch).c_str());
+                condtd::ToString(idtd_model->regex, *idtd.alphabet())
+                    .c_str());
   }
   std::printf(
       "\nCRX generalizes from very small samples (Theorem 4/5); iDTD's "

@@ -1,14 +1,13 @@
 #ifndef CONDTD_INFER_CONTEXTUAL_H_
 #define CONDTD_INFER_CONTEXTUAL_H_
 
-#include <map>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
 #include "infer/inferrer.h"
-#include "xml/dom.h"
+#include "infer/streaming.h"
 
 namespace condtd {
 
@@ -20,17 +19,25 @@ namespace condtd {
 /// the per-parent languages agree.
 ///
 /// This is exactly the k = 1 ancestor-based fragment of the XSD
-/// inference the paper leaves as future work; it reuses the same
-/// per-context SOA/CRX machinery.
+/// inference the paper leaves as future work. Documents go through the
+/// one streaming fold (StreamingFolder) with a ContextSummaries map
+/// attached: the pooled summaries are a plain DtdInferrer's, and every
+/// per-context and pooled model is learned by DtdInferrer::InferElement.
 class ContextualInferrer {
  public:
   explicit ContextualInferrer(InferenceOptions options = {});
 
-  Alphabet* alphabet() { return &alphabet_; }
-  const Alphabet& alphabet() const { return alphabet_; }
+  Alphabet* alphabet() { return inferrer_.alphabet(); }
+  const Alphabet& alphabet() const { return inferrer_.alphabet(); }
 
+  /// The pooled inference — the same DtdInferrer a plain `condtd infer`
+  /// builds over the documents — and the per-context summaries.
+  const DtdInferrer& pooled() const { return inferrer_; }
+  const ContextSummaries& contexts() const { return contexts_; }
+
+  /// Parses and folds one document (strict or lenient per
+  /// `lenient_xml`). On error the document contributes nothing.
   Status AddXml(std::string_view xml);
-  void AddDocument(const XmlDocument& doc);
 
   /// One inferred type of an element together with the parents it
   /// occurs under (kInvalidSymbol = document root). Parents whose
@@ -72,25 +79,8 @@ class ContextualInferrer {
   Result<std::string> InferLocalXsd() const;
 
  private:
-  /// Initializes a freshly created per-context summary, mirroring
-  /// SummaryStore::Ensure's words-complete rule.
-  ElementSummary& Prepare(ElementSummary& summary) const;
-
-  Result<ContentModel> InferContext(const ElementSummary& summary) const;
-
-  InferenceOptions options_;
-  LearnOptions learn_options_;
-  // learner_ before limits_: MakeLimits reads the resolved learner's
-  // capabilities during member initialization.
-  const Learner* learner_;
-  SummaryLimits limits_;
-  Alphabet alphabet_;
-  // (element, parent) -> summary; parent kInvalidSymbol for roots. The
-  // same ElementSummary bundle DtdInferrer retains, just keyed by
-  // vertical context instead of by element alone.
-  std::map<std::pair<Symbol, Symbol>, ElementSummary> contexts_;
-  // Pooled per-element summaries, for the DTD-equivalent merged model.
-  std::map<Symbol, ElementSummary> pooled_;
+  DtdInferrer inferrer_;
+  ContextSummaries contexts_;
 };
 
 }  // namespace condtd

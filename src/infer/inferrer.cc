@@ -84,9 +84,6 @@ std::vector<Symbol> DtdInferrer::Elements() const {
 }
 
 Result<ReRef> DtdInferrer::LearnRegex(const ElementSummary& summary) const {
-  if (learner_ == nullptr) {
-    return LearnerRegistry::Global().UnknownName(options_.learner);
-  }
   obs::StageSpan span(obs::Stage::kLearn);
   Result<ReRef> result = LearnWithMetrics(*learner_, summary, learn_options_);
   if (result.ok()) obs::CounterAdd(obs::Counter::kElementsLearned, 1);
@@ -104,6 +101,11 @@ Result<ContentModel> DtdInferrer::InferContentModel(Symbol element) const {
 
 Result<ContentModel> DtdInferrer::LearnContentModel(
     const ElementSummary& summary) const {
+  // An unknown learner fails every element, also those whose content
+  // (EMPTY, #PCDATA, mixed) needs no learner.
+  if (learner_ == nullptr) {
+    return LearnerRegistry::Global().UnknownName(options_.learner);
+  }
   ContentModel model;
   const bool any_children = summary.crx.num_distinct_histograms() > 0;
   if (!any_children) {

@@ -103,7 +103,34 @@ void StreamingFolder::CompleteTop() {
   }
   ++cache_.entry(result.index).count;
   word_journal_.push_back(result.index);
+  if (contexts_ != nullptr) StageContext(frame);
   --depth_;
+}
+
+void StreamingFolder::StageContext(const Frame& frame) {
+  Symbol parent = depth_ >= 2 ? stack_[depth_ - 2].symbol : kInvalidSymbol;
+  doc_contexts_.push_back({frame.symbol, parent, frame.has_text,
+                           static_cast<uint32_t>(context_symbols_.size()),
+                           static_cast<uint32_t>(frame.word.size())});
+  context_symbols_.insert(context_symbols_.end(), frame.word.begin(),
+                          frame.word.end());
+}
+
+void StreamingFolder::CommitContexts() {
+  const SummaryLimits& limits = store_->limits();
+  for (const ContextRecord& record : doc_contexts_) {
+    auto [it, inserted] =
+        contexts_->try_emplace({record.symbol, record.parent});
+    ElementSummary& summary = it->second;
+    // New summaries start words-complete iff the reservoir is enabled,
+    // the rule SummaryStore::Ensure applies.
+    if (inserted) summary.words_complete = limits.max_retained_words > 0;
+    ++summary.occurrences;
+    const Symbol* word = context_symbols_.data() + record.word_first;
+    flush_word_.assign(word, word + record.word_length);
+    summary.AddChildWord(flush_word_, 1, limits);
+    if (record.has_text) summary.has_text = true;
+  }
 }
 
 void StreamingFolder::CommitDocument() {
@@ -141,6 +168,7 @@ void StreamingFolder::CommitDocument() {
     }
   }
   for (Symbol s : doc_new_children_) store_->MarkSeenAsChild(s);
+  if (contexts_ != nullptr) CommitContexts();
   // The cache increments are already in place; committing just retires
   // the rollback journal (ResetDocument must not undo them).
   word_journal_.clear();
@@ -175,6 +203,8 @@ void StreamingFolder::ResetDocument() {
   doc_touched_.clear();
   doc_sample_records_.clear();
   doc_attr_records_.clear();
+  doc_contexts_.clear();
+  context_symbols_.clear();
   attr_keys_.clear();
   doc_samples_.clear();
   obs::GaugeMax(obs::Gauge::kArenaBytesPeak,

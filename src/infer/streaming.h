@@ -2,8 +2,10 @@
 #define CONDTD_INFER_STREAMING_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "alphabet/alphabet.h"
@@ -16,9 +18,15 @@
 
 namespace condtd {
 
+/// Summaries keyed by vertical context: (element, parent), with parent
+/// kInvalidSymbol for a document root. The same ElementSummary bundle a
+/// SummaryStore keeps per element, split by the element's parent.
+using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
+
 /// Streaming fold driver — the one way documents fold into a
-/// `DtdInferrer`. It parses XML with the zero-copy `SaxLexer` and folds
-/// each element the moment its end tag is seen into the owning
+/// `DtdInferrer`, and into the per-parent summaries of a
+/// `ContextualInferrer`. It parses XML with the zero-copy `SaxLexer` and
+/// folds each element the moment its end tag is seen into the owning
 /// inferrer's SummaryStore — no `XmlElement` tree, no per-node
 /// allocation. An explicit stack of open frames accumulates each
 /// element's child-`Symbol` word (names interned directly into the
@@ -44,6 +52,13 @@ namespace condtd {
 /// contributes nothing to the summaries; only alphabet interning of
 /// names seen before the error persists, which cannot affect any
 /// all-clean corpus.
+///
+/// Vertical context: with a `ContextSummaries` map attached, each
+/// completed element's word is also staged under (element, the frame
+/// below it), and the staged words fold into the map one by one, in
+/// end-tag order, when the document commits; a failed document drops
+/// them with the rest of its state. A folder with no map attached pays
+/// one pointer test per element for this.
 ///
 /// Byte identity: text samples are taken at each element's end tag and
 /// cache entries flush in first-occurrence order, so the SaveState text
@@ -72,6 +87,10 @@ class StreamingFolder {
   /// inferrer's options). On error the document's summaries are
   /// discarded.
   Status AddXml(std::string_view xml);
+
+  /// Also folds every committed element's word into `contexts` under
+  /// (element, parent) — see the class comment. Null detaches.
+  void AttachContexts(ContextSummaries* contexts) { contexts_ = contexts; }
 
   /// Applies all cached weighted folds to the summaries. Idempotent.
   /// Must be called (or the folder destroyed) before the inferrer's
@@ -131,6 +150,15 @@ class StreamingFolder {
     uint32_t attr_first = 0;
     uint32_t attr_count = 0;
   };
+  /// A completed element staged for the attached ContextSummaries; its
+  /// word is `word_length` symbols of context_symbols_ from `word_first`.
+  struct ContextRecord {
+    Symbol symbol = kInvalidSymbol;
+    Symbol parent = kInvalidSymbol;
+    bool has_text = false;
+    uint32_t word_first = 0;
+    uint32_t word_length = 0;
+  };
 
   /// Dense symbol-indexed cache of store entries, lazily filled — the
   /// fold hot path does one per-occurrence lookup here instead of a
@@ -148,7 +176,9 @@ class StreamingFolder {
   void HandleText(std::string_view text);
   /// Closes the innermost open element: records its word and stats.
   void CompleteTop();
+  void StageContext(const Frame& frame);
   void CommitDocument();
+  void CommitContexts();
   void ResetDocument();
   void FoldWeighted(Symbol element, const Word& word, int64_t count);
 
@@ -193,14 +223,19 @@ class StreamingFolder {
   /// Child symbols first observed this document; the store's
   /// seen-as-child marks are applied only on commit.
   std::vector<Symbol> doc_new_children_;
+  /// The attached per-parent summaries (null: none) and this document's
+  /// words staged for them, in end-tag order.
+  ContextSummaries* contexts_ = nullptr;
+  std::vector<ContextRecord> doc_contexts_;
+  std::vector<Symbol> context_symbols_;
 
   // Cross-document dedup cache. Completed words probe it directly with
   // the frame's incrementally built hash (one table probe per
   // occurrence, no rehash, no per-document staging map).
   FlatWordCache cache_;
   std::vector<ElementSummary*> state_cache_;
-  /// Scratch for Flush(): materializes each flat-cache entry's word once
-  /// per flush without reallocating.
+  /// Scratch for Flush() and CommitContexts(): materializes a word
+  /// without reallocating.
   Word flush_word_;
 
   int64_t documents_folded_ = 0;

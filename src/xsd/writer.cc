@@ -21,102 +21,139 @@ std::string OccursAttributes(int min_occurs, int max_occurs) {
   return out;
 }
 
-class XsdPrinter {
- public:
-  XsdPrinter(const Alphabet& alphabet, const NumericAnnotations* numeric)
-      : alphabet_(alphabet), numeric_(numeric) {}
-
-  /// Renders `re` as a particle with the given occurrence bounds.
-  void Particle(const ReRef& re, int min_occurs, int max_occurs, int indent,
-                std::string* out) {
-    // Fold unary operators into occurrence bounds where possible.
-    switch (re->kind()) {
-      case ReKind::kPlus:
-      case ReKind::kStar:
-      case ReKind::kOpt: {
-        int child_min;
-        int child_max;
-        if (numeric_ != nullptr) {
-          auto it = numeric_->find(re.get());
-          if (it != numeric_->end()) {
-            Particle(re->child(), it->second.min_occurs,
-                     it->second.max_occurs, indent, out);
-            return;
-          }
-        }
-        if (re->kind() == ReKind::kPlus) {
-          child_min = 1;
-          child_max = NumericAnnotation::kUnbounded;
-        } else if (re->kind() == ReKind::kStar) {
-          child_min = 0;
-          child_max = NumericAnnotation::kUnbounded;
-        } else {
-          child_min = 0;
-          child_max = 1;
-        }
-        // Composing bounds of stacked operators is only exact for the
-        // simple (and after normalization, only occurring) cases where
-        // the outer particle has bounds 1..1.
-        if (min_occurs == 1 && max_occurs == 1) {
-          Particle(re->child(), child_min, child_max, indent, out);
-          return;
-        }
-        // Otherwise wrap in a sequence carrying the outer bounds.
-        std::string pad(indent * 2, ' ');
-        *out += pad + "<xs:sequence" +
-                OccursAttributes(min_occurs, max_occurs) + ">\n";
-        Particle(re->child(), child_min, child_max, indent + 1, out);
-        *out += pad + "</xs:sequence>\n";
-        return;
-      }
-      case ReKind::kSymbol: {
-        std::string pad(indent * 2, ' ');
-        *out += pad + "<xs:element ref=\"" + alphabet_.Name(re->symbol()) +
-                "\"" + OccursAttributes(min_occurs, max_occurs) + "/>\n";
-        return;
-      }
-      case ReKind::kConcat: {
-        std::string pad(indent * 2, ' ');
-        *out += pad + "<xs:sequence" +
-                OccursAttributes(min_occurs, max_occurs) + ">\n";
-        for (const auto& c : re->children()) {
-          Particle(c, 1, 1, indent + 1, out);
-        }
-        *out += pad + "</xs:sequence>\n";
-        return;
-      }
-      case ReKind::kDisj: {
-        std::string pad(indent * 2, ' ');
-        *out += pad + "<xs:choice" + OccursAttributes(min_occurs, max_occurs) +
-                ">\n";
-        for (const auto& c : re->children()) {
-          Particle(c, 1, 1, indent + 1, out);
-        }
-        *out += pad + "</xs:choice>\n";
-        return;
-      }
-      case ReKind::kShuffle: {
-        // Interleaving maps to the XSD all-group. XSD 1.0 restricts
-        // xs:all to element particles; factor groups beyond that rely on
-        // the 1.1 relaxation, which is the closest faithful rendering.
-        std::string pad(indent * 2, ' ');
-        *out += pad + "<xs:all" + OccursAttributes(min_occurs, max_occurs) +
-                ">\n";
-        for (const auto& c : re->children()) {
-          Particle(c, 1, 1, indent + 1, out);
-        }
-        *out += pad + "</xs:all>\n";
-        return;
-      }
-    }
+// YYYY-MM-DD naming a day that exists: month 01-12, and a day within
+// that month, February 29 only in leap years.
+bool IsCalendarDate(std::string_view text) {
+  if (text.size() != 10 || text[4] != '-' || text[7] != '-') return false;
+  for (size_t j : {0u, 1u, 2u, 3u, 5u, 6u, 8u, 9u}) {
+    if (!std::isdigit(static_cast<unsigned char>(text[j]))) return false;
   }
-
- private:
-  const Alphabet& alphabet_;
-  const NumericAnnotations* numeric_;
-};
+  auto number = [&](size_t first, size_t length) {
+    int value = 0;
+    for (size_t j = first; j < first + length; ++j) {
+      value = value * 10 + (text[j] - '0');
+    }
+    return value;
+  };
+  int year = number(0, 4);
+  int month = number(5, 2);
+  int day = number(8, 2);
+  if (month < 1 || month > 12 || day < 1) return false;
+  static constexpr int kDaysInMonth[] = {31, 28, 31, 30, 31, 30,
+                                         31, 31, 30, 31, 30, 31};
+  bool leap = year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+  int days = kDaysInMonth[month - 1] + (month == 2 && leap ? 1 : 0);
+  return day <= days;
+}
 
 }  // namespace
+
+void XsdPrinter::ContentParticle(const ReRef& re, int indent,
+                                 std::string* out) const {
+  const Re* skeleton = re.get();
+  while (skeleton->kind() == ReKind::kPlus ||
+         skeleton->kind() == ReKind::kOpt ||
+         skeleton->kind() == ReKind::kStar) {
+    skeleton = skeleton->child().get();
+  }
+  if (skeleton->kind() != ReKind::kSymbol) {
+    Particle(re, 1, 1, indent, out);
+    return;
+  }
+  std::string pad(indent * 2, ' ');
+  *out += pad + "<xs:sequence>\n";
+  Particle(re, 1, 1, indent + 1, out);
+  *out += pad + "</xs:sequence>\n";
+}
+
+void XsdPrinter::Particle(const ReRef& re, int min_occurs, int max_occurs,
+                          int indent, std::string* out) const {
+  // Fold unary operators into occurrence bounds where possible.
+  switch (re->kind()) {
+    case ReKind::kPlus:
+    case ReKind::kStar:
+    case ReKind::kOpt: {
+      int child_min;
+      int child_max;
+      if (numeric_ != nullptr) {
+        auto it = numeric_->find(re.get());
+        if (it != numeric_->end()) {
+          Particle(re->child(), it->second.min_occurs,
+                   it->second.max_occurs, indent, out);
+          return;
+        }
+      }
+      if (re->kind() == ReKind::kPlus) {
+        child_min = 1;
+        child_max = NumericAnnotation::kUnbounded;
+      } else if (re->kind() == ReKind::kStar) {
+        child_min = 0;
+        child_max = NumericAnnotation::kUnbounded;
+      } else {
+        child_min = 0;
+        child_max = 1;
+      }
+      // Composing bounds of stacked operators is only exact for the
+      // simple (and after normalization, only occurring) cases where
+      // the outer particle has bounds 1..1.
+      if (min_occurs == 1 && max_occurs == 1) {
+        Particle(re->child(), child_min, child_max, indent, out);
+        return;
+      }
+      // Otherwise wrap in a sequence carrying the outer bounds.
+      std::string pad(indent * 2, ' ');
+      *out += pad + "<xs:sequence" +
+              OccursAttributes(min_occurs, max_occurs) + ">\n";
+      Particle(re->child(), child_min, child_max, indent + 1, out);
+      *out += pad + "</xs:sequence>\n";
+      return;
+    }
+    case ReKind::kSymbol: {
+      std::string occurs = OccursAttributes(min_occurs, max_occurs);
+      if (emit_element_) {
+        emit_element_(re->symbol(), occurs, indent, out);
+        return;
+      }
+      std::string pad(indent * 2, ' ');
+      *out += pad + "<xs:element ref=\"" + alphabet_.Name(re->symbol()) +
+              "\"" + occurs + "/>\n";
+      return;
+    }
+    case ReKind::kConcat: {
+      std::string pad(indent * 2, ' ');
+      *out += pad + "<xs:sequence" +
+              OccursAttributes(min_occurs, max_occurs) + ">\n";
+      for (const auto& c : re->children()) {
+        Particle(c, 1, 1, indent + 1, out);
+      }
+      *out += pad + "</xs:sequence>\n";
+      return;
+    }
+    case ReKind::kDisj: {
+      std::string pad(indent * 2, ' ');
+      *out += pad + "<xs:choice" + OccursAttributes(min_occurs, max_occurs) +
+              ">\n";
+      for (const auto& c : re->children()) {
+        Particle(c, 1, 1, indent + 1, out);
+      }
+      *out += pad + "</xs:choice>\n";
+      return;
+    }
+    case ReKind::kShuffle: {
+      // Interleaving maps to the XSD all-group. XSD 1.0 restricts
+      // xs:all to element particles; factor groups beyond that rely on
+      // the 1.1 relaxation, which is the closest faithful rendering.
+      std::string pad(indent * 2, ' ');
+      *out += pad + "<xs:all" + OccursAttributes(min_occurs, max_occurs) +
+              ">\n";
+      for (const auto& c : re->children()) {
+        Particle(c, 1, 1, indent + 1, out);
+      }
+      *out += pad + "</xs:all>\n";
+      return;
+    }
+  }
+}
 
 std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
                      const std::map<Symbol, XsdElementExtras>& extras) {
@@ -202,21 +239,8 @@ std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
       case ContentKind::kChildren: {
         out += "  <xs:element name=\"" + name + "\">\n";
         out += "    <xs:complexType>\n";
-        XsdPrinter printer(alphabet,
-                           extra != nullptr ? &extra->numeric : nullptr);
-        // A complexType's particle must be a model group; a content
-        // model that boils down to one element gets an xs:sequence
-        // wrapper.
-        const Re* skeleton = model.regex.get();
-        while (skeleton->kind() == ReKind::kPlus ||
-               skeleton->kind() == ReKind::kOpt ||
-               skeleton->kind() == ReKind::kStar) {
-          skeleton = skeleton->child().get();
-        }
-        bool wrap = skeleton->kind() == ReKind::kSymbol;
-        if (wrap) out += "      <xs:sequence>\n";
-        printer.Particle(model.regex, 1, 1, wrap ? 4 : 3, &out);
-        if (wrap) out += "      </xs:sequence>\n";
+        XsdPrinter(alphabet, extra != nullptr ? &extra->numeric : nullptr)
+            .ContentParticle(model.regex, 3, &out);
         write_attributes(3);
         out += "    </xs:complexType>\n";
         out += "  </xs:element>\n";
@@ -244,31 +268,25 @@ std::string InferSimpleType(const std::vector<std::string>& samples) {
     if (!(text == "true" || text == "false" || text == "0" || text == "1")) {
       all_bool = false;
     }
-    // integer / decimal
+    // integer / decimal: an optional sign, then digits with at most one
+    // dot, and at least one digit.
     size_t i = 0;
     if (text[0] == '+' || text[0] == '-') i = 1;
-    bool digits = i < text.size();
-    bool dot = false;
-    bool decimal_ok = true;
+    int digits = 0;
+    int dots = 0;
+    bool other = false;
     for (size_t j = i; j < text.size(); ++j) {
       if (text[j] == '.') {
-        if (dot) decimal_ok = false;
-        dot = true;
-      } else if (!std::isdigit(static_cast<unsigned char>(text[j]))) {
-        digits = false;
-        decimal_ok = false;
+        ++dots;
+      } else if (std::isdigit(static_cast<unsigned char>(text[j]))) {
+        ++digits;
+      } else {
+        other = true;
       }
     }
-    if (!digits || dot) all_int = false;
-    if (!decimal_ok || !digits) all_decimal = false;
-    // date: YYYY-MM-DD
-    bool date = text.size() == 10 && text[4] == '-' && text[7] == '-';
-    if (date) {
-      for (size_t j : {0u, 1u, 2u, 3u, 5u, 6u, 8u, 9u}) {
-        if (!std::isdigit(static_cast<unsigned char>(text[j]))) date = false;
-      }
-    }
-    if (!date) all_date = false;
+    if (other || digits == 0 || dots > 0) all_int = false;
+    if (other || digits == 0 || dots > 1) all_decimal = false;
+    if (!IsCalendarDate(text)) all_date = false;
   }
   if (all_bool) return "xs:boolean";
   if (all_int) return "xs:integer";

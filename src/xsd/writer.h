@@ -1,8 +1,10 @@
 #ifndef CONDTD_XSD_WRITER_H_
 #define CONDTD_XSD_WRITER_H_
 
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dtd/model.h"
@@ -20,6 +22,39 @@ struct XsdElementExtras {
   std::string text_type;
 };
 
+/// Renders content-model REs as XSD particles, folding unary operators
+/// into minOccurs/maxOccurs (with `numeric`'s bounds where it has them).
+/// Element occurrences render as global refs, or through `emit_element`
+/// when one is given — the hook local element declarations use.
+class XsdPrinter {
+ public:
+  /// Renders one occurrence of `element` at `indent`; `occurs` holds its
+  /// minOccurs/maxOccurs attributes (empty for 1..1), leading space
+  /// included.
+  using EmitElement = std::function<void(
+      Symbol element, const std::string& occurs, int indent, std::string*)>;
+
+  XsdPrinter(const Alphabet& alphabet, const NumericAnnotations* numeric,
+             EmitElement emit_element = nullptr)
+      : alphabet_(alphabet),
+        numeric_(numeric),
+        emit_element_(std::move(emit_element)) {}
+
+  /// Renders `re` as a complexType's particle at `indent`. That particle
+  /// must be a model group, so a model that boils down to one element is
+  /// wrapped in an xs:sequence.
+  void ContentParticle(const ReRef& re, int indent, std::string* out) const;
+
+  /// Renders `re` as a particle with the given occurrence bounds.
+  void Particle(const ReRef& re, int min_occurs, int max_occurs, int indent,
+                std::string* out) const;
+
+ private:
+  const Alphabet& alphabet_;
+  const NumericAnnotations* numeric_;
+  EmitElement emit_element_;
+};
+
 /// Serializes the DTD as a W3C XML Schema document (the 85% of XSDs that
 /// are structurally equivalent to a DTD, per [9]). Uses one global
 /// xs:element per name with ref-based content models.
@@ -28,7 +63,8 @@ std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
 
 /// Section 9's datatype heuristic: inspects sample text values and
 /// returns "xs:integer", "xs:decimal", "xs:date", "xs:boolean" or
-/// "xs:string".
+/// "xs:string". A decimal needs at least one digit, and a date
+/// (YYYY-MM-DD) must name a day that exists.
 std::string InferSimpleType(const std::vector<std::string>& samples);
 
 }  // namespace condtd

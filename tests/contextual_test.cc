@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/rng.h"
 #include "dtd/diff.h"
@@ -119,7 +122,36 @@ TEST(Contextual, ReportRendering) {
   EXPECT_NE(text.find("DTD approximation"), std::string::npos);
 }
 
+TEST(Contextual, RejectedDocumentsContributeNothing) {
+  // Strict errors and the nesting cap come from the one fold, which
+  // drops the whole document.
+  ContextualInferrer inferrer;
+  EXPECT_FALSE(inferrer.AddXml("<r><x><id/></x><y>").ok());
+  std::string deep;
+  for (int i = 0; i < 10001; ++i) deep += "<a>";
+  EXPECT_NE(inferrer.AddXml(deep).ToString().find(
+                "element nesting deeper than 10000"),
+            std::string::npos);
+  EXPECT_TRUE(inferrer.contexts().empty());
+  EXPECT_TRUE(inferrer.pooled().summaries().empty());
+  ASSERT_TRUE(inferrer.AddXml("<r><id/></r>").ok());
+  EXPECT_EQ(inferrer.contexts().size(), 2u);
+}
+
 // --- Random-DTD end-to-end pipeline fuzz ------------------------------------
+
+/// Removes one end tag, picked at random; false when `text` has none.
+bool RemoveRandomEndTag(std::string* text, Rng* rng) {
+  std::vector<size_t> closes;
+  for (size_t close = text->find("</"); close != std::string::npos;
+       close = text->find("</", close + 1)) {
+    closes.push_back(close);
+  }
+  if (closes.empty()) return false;
+  size_t victim = closes[rng->NextBelow(closes.size())];
+  text->erase(victim, text->find('>', victim) - victim + 1);
+  return true;
+}
 
 TEST(RandomDtdPipeline, GenerateInferValidateRoundTrip) {
   Rng rng(20060912);
@@ -178,8 +210,9 @@ TEST(RandomDtdPipeline, GenerateInferValidateRoundTrip) {
 }
 
 TEST(RandomDtdPipeline, PooledContextEqualsFlatInference) {
-  // The contextual inferrer's "DTD approximation" must coincide with the
-  // plain DtdInferrer's content model — they pool the same data.
+  // The contextual inferrer's "DTD approximation" must be the plain
+  // DtdInferrer's DTD byte for byte — they pool the same fold.
+  std::vector<std::pair<InferenceOptions, std::vector<std::string>>> cases;
   Rng rng(31);
   for (int trial = 0; trial < 8; ++trial) {
     Alphabet alphabet;
@@ -189,25 +222,74 @@ TEST(RandomDtdPipeline, PooledContextEqualsFlatInference) {
       Result<XmlDocument> doc = GenerateDocument(truth, alphabet, &rng);
       corpus.push_back(doc->ToXml());
     }
-    DtdInferrer flat;
-    ContextualInferrer contextual;
+    cases.push_back({InferenceOptions(), std::move(corpus)});
+  }
+  // Section 9 noise pruning also applies to mixed content: <i> occurs
+  // once, below the threshold, so neither model lists it.
+  InferenceOptions noise;
+  noise.noise_symbol_threshold = 2;
+  cases.push_back({noise,
+                   {"<r><p>a<b/>c</p></r>", "<r><p>a<b/>c</p></r>",
+                    "<r><p>a<b/><i/>c</p></r>"}});
+  for (const auto& [options, corpus] : cases) {
+    DtdInferrer flat(options);
+    ContextualInferrer contextual(options);
     for (const std::string& text : corpus) {
       ASSERT_TRUE(flat.AddXml(text).ok());
       ASSERT_TRUE(contextual.AddXml(text).ok());
     }
+    Result<Dtd> flat_dtd = flat.InferDtd();
+    ASSERT_TRUE(flat_dtd.ok()) << flat_dtd.status().ToString();
     Result<ContextualInferrer::Report> report = contextual.Infer();
-    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    Dtd pooled;
+    pooled.root = flat_dtd->root;
     for (const auto& entry : report->elements) {
-      Symbol flat_symbol = flat.alphabet()->Find(
-          contextual.alphabet()->Name(entry.element));
-      ASSERT_NE(flat_symbol, kInvalidSymbol);
-      Result<ContentModel> flat_model =
-          flat.InferContentModel(flat_symbol);
-      ASSERT_TRUE(flat_model.ok());
-      ASSERT_EQ(flat_model->kind, entry.merged.kind);
-      if (flat_model->kind == ContentKind::kChildren) {
-        EXPECT_TRUE(
-            LanguageEquivalent(flat_model->regex, entry.merged.regex));
+      pooled.elements.emplace(entry.element, entry.merged);
+    }
+    EXPECT_EQ(WriteDtd(pooled, *contextual.alphabet()),
+              WriteDtd(flat_dtd.value(), *flat.alphabet()));
+  }
+}
+
+TEST(RandomDtdPipeline, MergedContextsLearnThePooledModel) {
+  // The fold splits each element's words by parent. Merged back with
+  // ElementSummary::MergeFrom they hold what the pooled summary holds,
+  // so they learn the same language — strict, and lenient with an end
+  // tag missing from each document.
+  Rng rng(43);
+  for (int trial = 0; trial < 10; ++trial) {
+    Alphabet alphabet;
+    Dtd truth = RandomDtd(&alphabet, &rng);
+    for (bool lenient : {false, true}) {
+      InferenceOptions options;
+      options.lenient_xml = lenient;
+      ContextualInferrer contextual(options);
+      for (int i = 0; i < 40; ++i) {
+        std::string text = GenerateDocument(truth, alphabet, &rng)->ToXml();
+        if (lenient) RemoveRandomEndTag(&text, &rng);
+        ASSERT_TRUE(contextual.AddXml(text).ok()) << text;
+      }
+      const DtdInferrer& pooled = contextual.pooled();
+      std::map<Symbol, ElementSummary> merged;
+      for (const auto& [key, summary] : contextual.contexts()) {
+        merged[key.first].MergeFrom(summary, nullptr,
+                                    pooled.summaries().limits());
+      }
+      ASSERT_EQ(merged.size(), pooled.summaries().elements().size());
+      for (const auto& [element, summary] : merged) {
+        SCOPED_TRACE(contextual.alphabet()->Name(element));
+        EXPECT_EQ(summary.occurrences, pooled.WordCount(element));
+        Result<ContentModel> from_contexts =
+            pooled.InferElement(summary, /*xsd=*/false).model;
+        Result<ContentModel> from_pool = pooled.InferContentModel(element);
+        ASSERT_TRUE(from_contexts.ok() && from_pool.ok());
+        ASSERT_EQ(from_contexts->kind, from_pool->kind);
+        EXPECT_EQ(from_contexts->mixed_symbols, from_pool->mixed_symbols);
+        if (from_pool->kind == ContentKind::kChildren) {
+          EXPECT_TRUE(
+              LanguageEquivalent(from_contexts->regex, from_pool->regex));
+        }
       }
     }
   }
@@ -222,18 +304,7 @@ TEST(RandomDtdPipeline, LenientParserSurvivesMutilation) {
     Dtd truth = RandomDtd(&alphabet, &rng);
     Result<XmlDocument> doc = GenerateDocument(truth, alphabet, &rng);
     std::string text = doc->ToXml();
-    // Remove one random closing tag (if any).
-    size_t close = text.find("</");
-    std::vector<size_t> closes;
-    while (close != std::string::npos) {
-      closes.push_back(close);
-      close = text.find("</", close + 1);
-    }
-    if (closes.empty()) continue;
-    size_t victim = closes[rng.NextBelow(closes.size())];
-    size_t end = text.find('>', victim);
-    ASSERT_NE(end, std::string::npos);
-    text.erase(victim, end - victim + 1);
+    if (!RemoveRandomEndTag(&text, &rng)) continue;
 
     EXPECT_FALSE(ParseXml(text).ok());
     std::vector<std::string> repairs;

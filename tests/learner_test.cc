@@ -66,16 +66,28 @@ TEST(AutoPolicy, SwitchesOnOccurrenceCount) {
 TEST(DtdInferrer, UnknownLearnerNameFailsWithRegisteredList) {
   InferenceOptions options;
   options.learner = "bogus";
-  DtdInferrer inferrer(options);
-  EXPECT_EQ(inferrer.learner(), nullptr);
-  ASSERT_TRUE(inferrer.AddXml("<r><a/><a/></r>").ok());
-  Result<Dtd> dtd = inferrer.InferDtd();
-  ASSERT_FALSE(dtd.ok());
-  EXPECT_EQ(dtd.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(dtd.status().ToString().find("bogus"), std::string::npos);
-  EXPECT_NE(dtd.status().ToString().find(
-                "auto, idtd, crx, isore, sire, rewrite, trang, xtract"),
-            std::string::npos);
+  // Element content, and corpora whose every element is #PCDATA or EMPTY
+  // (no learner would run for them): all fail the same way.
+  for (const char* xml : {"<r><a/><a/></r>", "<a>text</a>", "<a/>"}) {
+    SCOPED_TRACE(xml);
+    DtdInferrer inferrer(options);
+    EXPECT_EQ(inferrer.learner(), nullptr);
+    ASSERT_TRUE(inferrer.AddXml(xml).ok());
+    // <a> is EMPTY or #PCDATA in every case.
+    Symbol a = inferrer.alphabet()->Find("a");
+    for (const Status& status :
+         {inferrer.InferDtd().status(), inferrer.InferXsd().status(),
+          inferrer.InferContentModel(a).status(),
+          inferrer.InferElement(*inferrer.summaries().Find(a), true)
+              .model.status()}) {
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.ToString().find("bogus"), std::string::npos);
+      EXPECT_NE(status.ToString().find(
+                    "auto, idtd, crx, isore, sire, rewrite, trang, xtract"),
+                std::string::npos);
+    }
+  }
 }
 
 // --- round trip: every learner over the Table 1 mini-corpus --------------

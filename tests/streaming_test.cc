@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -330,6 +331,68 @@ TEST(StreamingErrors, ParallelStreamingKeepsErrorReporting) {
   EXPECT_EQ(engine.inferrer().WordCount(
                 engine.inferrer().alphabet()->Find("feed")),
             18);
+}
+
+// --- vertical context -----------------------------------------------------
+
+TEST(StreamingContexts, SplitEachWordByItsParent) {
+  DtdInferrer inferrer;
+  ContextSummaries contexts;
+  {
+    StreamingFolder folder(&inferrer);
+    folder.AttachContexts(&contexts);
+    ASSERT_TRUE(folder.AddXml("<r><x><id/></x><y><id/>t<id/></y></r>").ok());
+    // A rejected document leaves the map as it was.
+    EXPECT_FALSE(folder.AddXml("<r><x><id/></x><y>").ok());
+  }
+  const Alphabet& names = *inferrer.alphabet();
+  std::vector<std::string> keys;
+  for (const auto& [key, summary] : contexts) {
+    keys.push_back(names.Name(key.first) + " under " +
+                   (key.second == kInvalidSymbol ? "<root>"
+                                                 : names.Name(key.second)) +
+                   ": " + std::to_string(summary.occurrences) +
+                   (summary.has_text ? " text" : ""));
+  }
+  // Keyed (element, parent), ids in start-tag order: r x id y.
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "r under <root>: 1", "x under r: 1", "id under x: 1",
+                      "id under y: 2", "y under r: 1 text"}));
+}
+
+TEST(StreamingContexts, AttachedMapLeavesTheStoreAsItWas) {
+  // Strict with rejected documents, and lenient over tag soup: folding
+  // with a map attached writes the same store, and the map's summaries
+  // split each element's occurrences by parent.
+  std::vector<std::string> strict = GenerateCorpus(60, 11);
+  strict.insert(strict.begin() + 20, "<feed><entry><title>t</title>");
+  strict.insert(strict.begin() + 40, "<feed></entry>");
+  for (bool lenient : {false, true}) {
+    const std::vector<std::string> documents =
+        lenient ? TagSoupCorpus() : strict;
+    InferenceOptions options;
+    options.lenient_xml = lenient;
+    DtdInferrer plain(options);
+    DtdInferrer with_map(options);
+    ContextSummaries contexts;
+    {
+      StreamingFolder plain_folder(&plain);
+      StreamingFolder map_folder(&with_map);
+      map_folder.AttachContexts(&contexts);
+      for (const std::string& doc : documents) {
+        EXPECT_EQ(plain_folder.AddXml(doc).ok(), map_folder.AddXml(doc).ok());
+      }
+    }
+    EXPECT_EQ(with_map.SaveState(), plain.SaveState());
+    std::map<Symbol, int64_t> occurrences;
+    for (const auto& [key, summary] : contexts) {
+      occurrences[key.first] += summary.occurrences;
+    }
+    ASSERT_EQ(occurrences.size(), with_map.Elements().size());
+    for (const auto& [element, count] : occurrences) {
+      EXPECT_EQ(count, with_map.WordCount(element));
+    }
+  }
 }
 
 // --- dedup accounting -----------------------------------------------------

@@ -5,7 +5,6 @@
 
 #include "infer/inferrer.h"
 #include "infer/streaming.h"
-#include "xml/extract.h"
 #include "xml/parser.h"
 #include "xml/sax.h"
 
@@ -159,24 +158,6 @@ TEST(XmlParser, RoundTripThroughToXml) {
   ASSERT_TRUE(again.ok()) << serialized;
   EXPECT_EQ(again->root->children().size(), 3u);
   EXPECT_EQ(*again->root->FindAttribute("a"), "v");
-}
-
-TEST(XmlExtract, ChildSequencesPerElement) {
-  Result<XmlDocument> doc = ParseXml(
-      "<db><rec><k/><v/></rec><rec><k/></rec><note>hi</note></db>");
-  ASSERT_TRUE(doc.ok());
-  Alphabet alphabet;
-  ElementContexts contexts = ExtractContexts(doc.value(), &alphabet);
-  Symbol db = alphabet.Find("db");
-  Symbol rec = alphabet.Find("rec");
-  Symbol note = alphabet.Find("note");
-  ASSERT_EQ(contexts.contexts.at(db).size(), 1u);
-  EXPECT_EQ(contexts.contexts.at(db)[0].size(), 3u);
-  ASSERT_EQ(contexts.contexts.at(rec).size(), 2u);
-  EXPECT_EQ(contexts.contexts.at(rec)[0].size(), 2u);
-  EXPECT_EQ(contexts.contexts.at(rec)[1].size(), 1u);
-  EXPECT_TRUE(contexts.has_text.count(note) > 0);
-  EXPECT_TRUE(contexts.roots.count(db) > 0);
 }
 
 }  // namespace

@@ -105,6 +105,18 @@ TEST(SimpleType, Heuristics) {
   EXPECT_EQ(InferSimpleType({"true", "false"}), "xs:boolean");
   EXPECT_EQ(InferSimpleType({"hello", "1"}), "xs:string");
   EXPECT_EQ(InferSimpleType({}), "xs:string");
+  // A decimal needs a digit; a date needs a day that exists.
+  EXPECT_EQ(InferSimpleType({"."}), "xs:string");
+  EXPECT_EQ(InferSimpleType({"-."}), "xs:string");
+  EXPECT_EQ(InferSimpleType({".", "1.5"}), "xs:string");
+  EXPECT_EQ(InferSimpleType({".5", "1."}), "xs:decimal");
+  EXPECT_EQ(InferSimpleType({"2024-13-45"}), "xs:string");
+  EXPECT_EQ(InferSimpleType({"2023-02-29"}), "xs:string");
+  EXPECT_EQ(InferSimpleType({"2024-04-31"}), "xs:string");
+  EXPECT_EQ(InferSimpleType({"2024-00-10"}), "xs:string");
+  EXPECT_EQ(InferSimpleType({"2024-02-29"}), "xs:date");
+  EXPECT_EQ(InferSimpleType({"2000-02-29", "1999-12-31"}), "xs:date");
+  EXPECT_EQ(InferSimpleType({"1900-02-29"}), "xs:string");
 }
 
 }  // namespace
