@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "automaton/two_t_inf.h"
 #include "bench/bench_util.h"
 #include "crx/crx.h"
 #include "gen/corpus.h"
@@ -33,10 +34,11 @@ int Run() {
 
   CrxState crx;
   crx.AddWords(noisy.sample);
+  const Soa soa = Infer2T(noisy.sample);
   std::printf("%10s  %18s  %18s\n", "threshold", "crx alphabet",
               "idtd alphabet");
   for (int threshold : {0, 2, 5, 20, 100}) {
-    Result<ReRef> crx_re = crx.Infer(threshold);
+    Result<ReRef> crx_re = crx.Infer(soa, threshold);
     IdtdOptions options;
     options.noise_edge_threshold = threshold;
     options.noise_symbol_threshold = threshold;
@@ -49,8 +51,8 @@ int Run() {
                     ? std::to_string(AlphabetSizeOf(idtd_re.value())).c_str()
                     : "-");
   }
-  Result<ReRef> noisy_re = crx.Infer(0);
-  Result<ReRef> clean_re = crx.Infer(100);
+  Result<ReRef> noisy_re = crx.Infer(soa, 0);
+  Result<ReRef> clean_re = crx.Infer(soa, 100);
   if (noisy_re.ok() && clean_re.ok()) {
     std::printf(
         "\nwithout noise handling the intruders survive: |Σ| = %d; with a "

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "automaton/two_t_inf.h"
 #include "baseline/trang_like.h"
 #include "crx/crx.h"
 #include "gen/corpus.h"
@@ -89,7 +90,7 @@ void BM_CrxFold_ScalesLinearlyInData(benchmark::State& state) {
   for (auto _ : state) {
     CrxState crx;
     crx.AddWords(base.sample);
-    Result<ReRef> re = crx.Infer();
+    Result<ReRef> re = crx.Infer(Infer2T(base.sample));
     benchmark::DoNotOptimize(re.ok());
   }
   state.SetItemsProcessed(state.iterations() * base.sample.size());

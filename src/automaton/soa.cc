@@ -89,6 +89,17 @@ std::vector<int> Soa::Successors(int state) const {
   return out;
 }
 
+std::vector<std::pair<Symbol, Symbol>> Soa::SymbolEdges() const {
+  std::vector<std::pair<Symbol, Symbol>> edges;
+  for (int q = 0; q < NumStates(); ++q) {
+    for (const auto& [to, support] : out_[q]) {
+      edges.emplace_back(labels_[q], labels_[to]);
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
 std::vector<int> Soa::Predecessors(int state) const {
   std::vector<int> preds;
   for (int q = 0; q < NumStates(); ++q) {

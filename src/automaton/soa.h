@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "alphabet/alphabet.h"
@@ -57,6 +58,9 @@ class Soa {
 
   /// Successor / predecessor state indices, ascending.
   std::vector<int> Successors(int state) const;
+  /// The edge relation over symbols: (from, to) label pairs, ascending.
+  /// For the 2T-INF SOA of a sample this is CRX's successor relation →_W.
+  std::vector<std::pair<Symbol, Symbol>> SymbolEdges() const;
   std::vector<int> Predecessors(int state) const;
   std::vector<int> Initials() const;
   std::vector<int> Finals() const;

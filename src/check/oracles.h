@@ -53,8 +53,8 @@ OracleResult CheckSireValidity(const ReRef& re, const Alphabet& alphabet);
 /// must be no larger (token count) than the baseline inferred from the
 /// same summary AND describe a sub-language of it — the shuffle upgrade
 /// specializes the baseline, never generalizes beyond it. The witness on
-/// failure is either the token counts or a word of L(candidate) \
-/// L(baseline).
+/// failure is either the token counts or a word of
+/// L(candidate) \ L(baseline).
 OracleResult CheckConcisenessDominance(const ReRef& candidate,
                                        const ReRef& baseline,
                                        const Alphabet& alphabet);

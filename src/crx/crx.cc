@@ -1,14 +1,33 @@
 #include "crx/crx.h"
 
 #include <algorithm>
-#include <functional>
+#include <map>
 #include <queue>
+#include <set>
 
+#include "automaton/two_t_inf.h"
 #include "base/fold_scratch.h"
 #include "base/mem_estimate.h"
 #include "obs/metrics.h"
 
 namespace condtd {
+
+namespace {
+
+/// Hash of a sorted histogram: a multiply-xorshift fold over its packed
+/// (symbol, count) pairs.
+uint64_t HashHistogram(CrxState::HistogramView histogram) {
+  uint64_t h = 0x9e3779b97f4a7c15ull ^ histogram.size();
+  for (const auto& [symbol, count] : histogram) {
+    h ^= (static_cast<uint64_t>(static_cast<uint32_t>(symbol)) << 32) |
+         static_cast<uint32_t>(count);
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
 
 void CrxState::AddWord(const Word& word) { AddWord(word, 1); }
 
@@ -25,65 +44,92 @@ void CrxState::AddWord(const Word& word, int64_t multiplicity) {
     min_symbol = std::min(min_symbol, s);
     max_symbol = std::max(max_symbol, s);
   }
+  FoldScratch& scratch = GetFoldScratch();
+  Histogram& histogram = scratch.histogram;
+  histogram.clear();
   if (min_symbol >= 0 && max_symbol < kDenseFoldWindow) {
-    // Dense kernel: aggregate the per-symbol totals and the distinct
-    // adjacent pairs through flat scratch, then touch the summary sets
-    // once per distinct symbol/pair instead of once per occurrence. The
-    // histogram comes out sorted-by-symbol, exactly as the std::map walk
-    // of the generic path produces it.
-    FoldScratch& scratch = GetFoldScratch();
+    // Dense kernel: per-symbol totals through a flat counter, then one
+    // sort of the distinct symbols.
     scratch.counts.Reset();
-    scratch.pairs.Reset();
     for (Symbol s : word) scratch.counts.Add(s, 1);
-    for (size_t i = 0; i + 1 < word.size(); ++i) {
-      scratch.pairs.Add(FlatPairCounter::Pack(word[i], word[i + 1]), 1);
-    }
     std::vector<int32_t>& distinct = scratch.counts.touched();
     std::sort(distinct.begin(), distinct.end());
-    scratch.histogram.clear();
-    scratch.histogram.reserve(distinct.size());
     for (int32_t s : distinct) {
-      symbols_.insert(s);
-      scratch.histogram.emplace_back(
-          s, static_cast<int>(scratch.counts.count_of(s)));
+      histogram.emplace_back(s, static_cast<int>(scratch.counts.count_of(s)));
     }
-    for (const FlatPairCounter::Entry& entry : scratch.pairs.entries()) {
-      edges_.emplace(FlatPairCounter::UnpackPrev(entry.key),
-                     FlatPairCounter::UnpackCur(entry.key));
+  } else {
+    // Generic path, for symbols outside the dense-ID window: sort a copy
+    // and count runs. Same histogram as the dense kernel.
+    Word sorted = word;
+    std::sort(sorted.begin(), sorted.end());
+    for (Symbol s : sorted) {
+      if (histogram.empty() || histogram.back().first != s) {
+        histogram.emplace_back(s, 0);
+      }
+      ++histogram.back().second;
     }
-    Histogram histogram(scratch.histogram.begin(), scratch.histogram.end());
-    histograms_[histogram] += multiplicity;
-    return;
   }
-  // Generic path: symbols outside the dense-ID window.
-  std::map<Symbol, int> counts;
-  for (Symbol s : word) {
-    symbols_.insert(s);
-    ++counts[s];
-  }
-  for (size_t i = 0; i + 1 < word.size(); ++i) {
-    edges_.emplace(word[i], word[i + 1]);
-  }
-  Histogram histogram(counts.begin(), counts.end());
-  histograms_[histogram] += multiplicity;
+  Insert(HashHistogram(histogram), histogram, multiplicity);
 }
 
 void CrxState::AddWords(const std::vector<Word>& words) {
   for (const Word& w : words) AddWord(w);
 }
 
-void CrxState::RestoreEdge(Symbol from, Symbol to) {
-  edges_.emplace(from, to);
-  symbols_.insert(from);
-  symbols_.insert(to);
+void CrxState::Insert(uint64_t hash, HistogramView histogram,
+                      int64_t count) {
+  if ((entries_.size() + 1) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t slot = static_cast<size_t>(hash) & mask;
+  for (size_t step = 1;; ++step) {
+    const uint32_t id = slots_[slot];
+    if (id == 0) break;
+    Entry& entry = entries_[id - 1];
+    if (entry.hash == hash && entry.length == histogram.size() &&
+        std::equal(histogram.begin(), histogram.end(),
+                   pool_.begin() + entry.offset)) {
+      entry.count += count;
+      return;
+    }
+    slot = (slot + step) & mask;
+  }
+  Entry entry;
+  entry.hash = hash;
+  entry.offset = static_cast<uint32_t>(pool_.size());
+  entry.length = static_cast<uint32_t>(histogram.size());
+  entry.count = count;
+  pool_.insert(pool_.end(), histogram.begin(), histogram.end());
+  entries_.push_back(entry);
+  slots_[slot] = static_cast<uint32_t>(entries_.size());
+}
+
+void CrxState::Grow() {
+  const size_t next = slots_.empty() ? 16 : slots_.size() * 2;
+  slots_.assign(next, 0);
+  const size_t mask = next - 1;
+  for (uint32_t id = 1; id <= entries_.size(); ++id) {
+    size_t slot = static_cast<size_t>(entries_[id - 1].hash) & mask;
+    for (size_t step = 1; slots_[slot] != 0; ++step) {
+      slot = (slot + step) & mask;
+    }
+    slots_[slot] = id;
+  }
+}
+
+std::vector<std::pair<CrxState::Histogram, int64_t>>
+CrxState::SortedHistograms() const {
+  std::vector<std::pair<Histogram, int64_t>> sorted;
+  sorted.reserve(entries_.size());
+  ForEachHistogram([&](HistogramView histogram, int64_t count) {
+    sorted.emplace_back(Histogram(histogram.begin(), histogram.end()),
+                        count);
+  });
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 void CrxState::RestoreHistogram(const Histogram& histogram, int64_t count) {
-  for (const auto& [sym, n] : histogram) {
-    (void)n;
-    symbols_.insert(sym);
-  }
-  histograms_[histogram] += count;
+  Insert(HashHistogram(histogram), histogram, count);
   num_words_ += count;
 }
 
@@ -93,10 +139,10 @@ void CrxState::RestoreEmpty(int64_t count) {
 }
 
 void CrxState::MergeFrom(const CrxState& other) {
-  edges_.insert(other.edges_.begin(), other.edges_.end());
-  symbols_.insert(other.symbols_.begin(), other.symbols_.end());
-  for (const auto& [histogram, count] : other.histograms_) {
-    histograms_[histogram] += count;
+  // The hash depends only on the histogram, so other's stored hashes
+  // are valid here.
+  for (const Entry& entry : other.entries_) {
+    Insert(entry.hash, other.View(entry), entry.count);
   }
   empty_count_ += other.empty_count_;
   num_words_ += other.num_words_;
@@ -104,20 +150,16 @@ void CrxState::MergeFrom(const CrxState& other) {
 
 void CrxState::MergeFrom(const CrxState& other,
                          const std::vector<Symbol>& remap) {
-  for (const auto& [from, to] : other.edges_) {
-    edges_.emplace(remap[from], remap[to]);
-  }
-  for (Symbol s : other.symbols_) symbols_.insert(remap[s]);
-  for (const auto& [histogram, count] : other.histograms_) {
-    Histogram translated;
-    translated.reserve(histogram.size());
+  Histogram translated;
+  other.ForEachHistogram([&](HistogramView histogram, int64_t count) {
+    translated.clear();
     for (const auto& [sym, n] : histogram) {
       translated.emplace_back(remap[sym], n);
     }
-    // Remapping can reorder entries; histogram keys are kept sorted.
+    // Remapping can reorder entries; pooled histograms stay sorted.
     std::sort(translated.begin(), translated.end());
-    histograms_[translated] += count;
-  }
+    Insert(HashHistogram(translated), translated, count);
+  });
   empty_count_ += other.empty_count_;
   num_words_ += other.num_words_;
 }
@@ -130,7 +172,7 @@ namespace {
 class SccFinder {
  public:
   SccFinder(const std::vector<Symbol>& symbols,
-            const std::set<std::pair<Symbol, Symbol>>& edges) {
+            const std::vector<std::pair<Symbol, Symbol>>& edges) {
     int n = static_cast<int>(symbols.size());
     for (int i = 0; i < n; ++i) index_of_[symbols[i]] = i;
     adj_.resize(n);
@@ -205,31 +247,44 @@ class SccFinder {
 
 }  // namespace
 
-Result<ReRef> CrxState::Infer(int min_symbol_support) const {
+Result<ReRef> CrxState::Infer(const Soa& soa,
+                              int min_symbol_support) const {
   obs::StageSpan span(obs::Stage::kCrxInfer);
   obs::CounterAdd(obs::Counter::kCrxInferCalls, 1);
+  // The SOA of the same words carries the symbol set (its states) and
+  // →_W (its edges).
+  std::vector<Symbol> symbols;
+  symbols.reserve(soa.NumStates());
+  for (int q = 0; q < soa.NumStates(); ++q) symbols.push_back(soa.LabelOf(q));
+  std::sort(symbols.begin(), symbols.end());
   // Section 9 noise handling: exclude symbols below the support
   // threshold (total occurrences across the sample).
-  std::set<Symbol> kept = symbols_;
   if (min_symbol_support > 0) {
-    std::map<Symbol, int64_t> support;
-    for (const auto& [histogram, count] : histograms_) {
+    std::vector<int64_t> support(symbols.size(), 0);
+    ForEachHistogram([&](HistogramView histogram, int64_t count) {
       for (const auto& [sym, n] : histogram) {
-        support[sym] += static_cast<int64_t>(n) * count;
+        auto it = std::lower_bound(symbols.begin(), symbols.end(), sym);
+        if (it != symbols.end() && *it == sym) {
+          support[it - symbols.begin()] += static_cast<int64_t>(n) * count;
+        }
       }
+    });
+    size_t kept = 0;
+    for (size_t i = 0; i < symbols.size(); ++i) {
+      if (support[i] >= min_symbol_support) symbols[kept++] = symbols[i];
     }
-    for (Symbol s : symbols_) {
-      if (support[s] < min_symbol_support) kept.erase(s);
-    }
+    symbols.resize(kept);
   }
-  std::vector<Symbol> symbols(kept.begin(), kept.end());
   if (symbols.empty()) {
     return Status::FailedPrecondition(
         "CRX: no symbol observed (language is empty or {ε})");
   }
-  std::set<std::pair<Symbol, Symbol>> edges;
-  for (const auto& [a, b] : edges_) {
-    if (kept.count(a) > 0 && kept.count(b) > 0) edges.emplace(a, b);
+  auto is_kept = [&](Symbol s) {
+    return std::binary_search(symbols.begin(), symbols.end(), s);
+  };
+  std::vector<std::pair<Symbol, Symbol>> edges;
+  for (const auto& [a, b] : soa.SymbolEdges()) {
+    if (is_kept(a) && is_kept(b)) edges.emplace_back(a, b);
   }
 
   // Step 1: equivalence classes of ≈_W = SCCs of →_W.
@@ -374,7 +429,7 @@ Result<ReRef> CrxState::Infer(int min_symbol_support) const {
       }
       if (total < 1) all_at_least_one = false;
     };
-    for (const auto& [histogram, count] : histograms_) {
+    ForEachHistogram([&](HistogramView histogram, int64_t) {
       int total = 0;
       for (const auto& [sym, n] : histogram) {
         if (std::binary_search(members[c].begin(), members[c].end(), sym)) {
@@ -382,7 +437,7 @@ Result<ReRef> CrxState::Infer(int min_symbol_support) const {
         }
       }
       account(total);
-    }
+    });
     if (empty_count_ > 0) account(0);
 
     std::vector<ReRef> alts;
@@ -406,19 +461,14 @@ Result<ReRef> CrxState::Infer(int min_symbol_support) const {
 }
 
 size_t CrxState::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += TreeBytes(edges_) + TreeBytes(symbols_) + TreeBytes(histograms_);
-  for (const auto& [histogram, count] : histograms_) {
-    (void)count;
-    bytes += VectorBytes(histogram);
-  }
-  return bytes;
+  return sizeof(*this) + VectorBytes(pool_) + VectorBytes(entries_) +
+         VectorBytes(slots_);
 }
 
 Result<ReRef> CrxInfer(const std::vector<Word>& sample) {
   CrxState state;
   state.AddWords(sample);
-  return state.Infer();
+  return state.Infer(Infer2T(sample));
 }
 
 }  // namespace condtd

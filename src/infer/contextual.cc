@@ -42,6 +42,9 @@ Result<ContextualInferrer::Report> ContextualInferrer::Infer() const {
   for (auto it = contexts_.begin(); it != contexts_.end();) {
     Report::ElementTypes entry;
     entry.element = it->first.first;
+    // Attribute counts summed per type, parallel to entry.types. The
+    // fold collects them only under `infer_attributes`.
+    std::vector<std::map<std::string, int64_t, std::less<>>> type_counts;
     for (; it != contexts_.end() && it->first.first == entry.element; ++it) {
       const auto& [key, summary] = *it;
       Result<ContentModel> model =
@@ -56,12 +59,25 @@ Result<ContextualInferrer::Report> ContextualInferrer::Infer() const {
         same->parents.push_back(key.second);
         same->occurrences += summary.occurrences;
       } else {
-        entry.types.push_back({{key.second}, *model, summary.occurrences});
+        entry.types.push_back({{key.second}, *model, summary.occurrences, {}});
+        type_counts.emplace_back();
+        same = entry.types.end() - 1;
       }
+      auto& counts = type_counts[same - entry.types.begin()];
+      for (const auto& [name, count] : summary.attribute_counts) {
+        counts[name] += count;
+      }
+    }
+    for (size_t t = 0; t < entry.types.size(); ++t) {
+      entry.types[t].attributes =
+          AttributeDefs(type_counts[t], entry.types[t].occurrences);
     }
     Result<ContentModel> merged = inferrer_.InferContentModel(entry.element);
     if (!merged.ok()) return merged.status();
     entry.merged = *merged;
+    const ElementSummary& pooled = *inferrer_.summaries().Find(entry.element);
+    entry.merged_attributes =
+        AttributeDefs(pooled.attribute_counts, pooled.occurrences);
     report.elements.push_back(std::move(entry));
   }
   return report;
@@ -89,103 +105,106 @@ Result<std::string> ContextualInferrer::InferLocalXsd() const {
     auto it = by_element.find(s);
     return it != by_element.end() && it->second->types.size() >= 2;
   };
-  auto model_for_context = [&](Symbol element,
-                               Symbol parent) -> const ContentModel* {
+  // The type an element gets under `parent`: its context type, or the
+  // pooled one when no context type lists that parent.
+  struct RenderedType {
+    const ContentModel* model;
+    const std::vector<Dtd::AttributeDef>* attributes;
+  };
+  auto type_for_context = [&](Symbol element, Symbol parent) -> RenderedType {
     const Report::ElementTypes* entry = by_element.at(element);
     for (const ContextType& type : entry->types) {
       for (Symbol p : type.parents) {
-        if (p == parent) return &type.model;
+        if (p == parent) return {&type.model, &type.attributes};
       }
     }
-    return &entry->merged;
+    return {&entry->merged, &entry->merged_attributes};
   };
 
   std::string out =
       "<?xml version=\"1.0\"?>\n"
       "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n";
 
-  // Rendering one element's body (shared by global and local decls).
-  // `chain` guards against recursive inlining.
-  std::function<void(Symbol, const ContentModel&, int, std::string*,
+  // Rendering one element's complexType (shared by global and local
+  // decls), in WriteXsd's shapes: text content makes it mixed, and the
+  // attributes follow the particle. A #PCDATA type without attributes
+  // has no complexType; its caller renders type="xs:string". `chain`
+  // guards against recursive inlining.
+  std::function<void(Symbol, const RenderedType&, int, std::string*,
                      std::vector<Symbol>*)>
-      render_body = [&](Symbol element, const ContentModel& model,
+      render_body = [&](Symbol element, const RenderedType& type,
                         int indent, std::string* text,
                         std::vector<Symbol>* chain) {
+        const ContentModel& model = *type.model;
         std::string pad(indent * 2, ' ');
-        switch (model.kind) {
-          case ContentKind::kPcdataOnly:
-            // Rendered by the caller as type="xs:string".
-            return;
-          case ContentKind::kEmpty:
-            *text += pad + "<xs:complexType/>\n";
-            return;
-          case ContentKind::kAny:
-            *text += pad + "<xs:complexType mixed=\"true\"/>\n";
-            return;
-          case ContentKind::kMixed: {
-            *text += pad + "<xs:complexType mixed=\"true\">\n";
-            *text += pad + "  <xs:choice minOccurs=\"0\" "
-                           "maxOccurs=\"unbounded\">\n";
-            for (Symbol child : model.mixed_symbols) {
-              *text += pad + "    <xs:element ref=\"" + names.Name(child) +
-                       "\"/>\n";
+        std::string particle;
+        if (model.kind == ContentKind::kMixed) {
+          particle += pad + "  <xs:choice minOccurs=\"0\" "
+                            "maxOccurs=\"unbounded\">\n";
+          for (Symbol child : model.mixed_symbols) {
+            particle += pad + "    <xs:element ref=\"" + names.Name(child) +
+                        "\"/>\n";
+          }
+          particle += pad + "  </xs:choice>\n";
+        } else if (model.kind == ContentKind::kChildren) {
+          // Context-dependent children are declared inline with their
+          // (child, element) type; the rest, and any child already on
+          // the chain, are global refs.
+          auto emit = [&](Symbol child, const std::string& occurs,
+                          int child_indent, std::string* inner) {
+            std::string child_pad(child_indent * 2, ' ');
+            const std::string& name = names.Name(child);
+            if (!is_contextual(child) ||
+                std::find(chain->begin(), chain->end(), child) !=
+                    chain->end()) {
+              *inner += child_pad + "<xs:element ref=\"" + name + "\"" +
+                        occurs + "/>\n";
+              return;
             }
-            *text += pad + "  </xs:choice>\n";
-            *text += pad + "</xs:complexType>\n";
-            return;
-          }
-          case ContentKind::kChildren: {
-            // Context-dependent children are declared inline with their
-            // (child, element) type; the rest, and any child already on
-            // the chain, are global refs.
-            auto emit = [&](Symbol child, const std::string& occurs,
-                            int child_indent, std::string* inner) {
-              std::string child_pad(child_indent * 2, ' ');
-              const std::string& name = names.Name(child);
-              if (!is_contextual(child) ||
-                  std::find(chain->begin(), chain->end(), child) !=
-                      chain->end()) {
-                *inner += child_pad + "<xs:element ref=\"" + name + "\"" +
-                          occurs + "/>\n";
-                return;
-              }
-              const ContentModel* child_model =
-                  model_for_context(child, element);
-              if (child_model->kind == ContentKind::kPcdataOnly) {
-                *inner += child_pad + "<xs:element name=\"" + name +
-                          "\" type=\"xs:string\"" + occurs + "/>\n";
-                return;
-              }
-              *inner += child_pad + "<xs:element name=\"" + name + "\"" +
-                        occurs + ">\n";
-              chain->push_back(child);
-              render_body(child, *child_model, child_indent + 1, inner,
-                          chain);
-              chain->pop_back();
-              *inner += child_pad + "</xs:element>\n";
-            };
-            *text += pad + "<xs:complexType>\n";
-            XsdPrinter(names, /*numeric=*/nullptr, emit)
-                .ContentParticle(model.regex, indent + 1, text);
-            *text += pad + "</xs:complexType>\n";
-            return;
-          }
+            RenderedType child_type = type_for_context(child, element);
+            if (child_type.model->kind == ContentKind::kPcdataOnly &&
+                child_type.attributes->empty()) {
+              *inner += child_pad + "<xs:element name=\"" + name +
+                        "\" type=\"xs:string\"" + occurs + "/>\n";
+              return;
+            }
+            *inner += child_pad + "<xs:element name=\"" + name + "\"" +
+                      occurs + ">\n";
+            chain->push_back(child);
+            render_body(child, child_type, child_indent + 1, inner, chain);
+            chain->pop_back();
+            *inner += child_pad + "</xs:element>\n";
+          };
+          XsdPrinter(names, /*numeric=*/nullptr, emit)
+              .ContentParticle(model.regex, indent + 1, &particle);
         }
+        const bool mixed = model.kind != ContentKind::kEmpty &&
+                           model.kind != ContentKind::kChildren;
+        *text += pad + (mixed ? "<xs:complexType mixed=\"true\""
+                              : "<xs:complexType");
+        if (particle.empty() && type.attributes->empty()) {
+          *text += "/>\n";
+          return;
+        }
+        *text += ">\n" + particle;
+        WriteXsdAttributes(*type.attributes, indent + 1, text);
+        *text += pad + "</xs:complexType>\n";
       };
 
   for (const auto& entry : report.elements) {
     // Context-dependent elements only appear as local declarations —
     // except that a global fallback declaration is still emitted (used
     // by recursive chains and by mixed-content refs).
-    const ContentModel& model = entry.merged;
+    const RenderedType type = {&entry.merged, &entry.merged_attributes};
     const std::string& name = names.Name(entry.element);
-    if (model.kind == ContentKind::kPcdataOnly) {
+    if (entry.merged.kind == ContentKind::kPcdataOnly &&
+        entry.merged_attributes.empty()) {
       out += "  <xs:element name=\"" + name + "\" type=\"xs:string\"/>\n";
       continue;
     }
     out += "  <xs:element name=\"" + name + "\">\n";
     std::vector<Symbol> chain = {entry.element};
-    render_body(entry.element, model, 2, &out, &chain);
+    render_body(entry.element, type, 2, &out, &chain);
     out += "  </xs:element>\n";
   }
   out += "</xs:schema>\n";

@@ -46,6 +46,9 @@ class ContextualInferrer {
     std::vector<Symbol> parents;
     ContentModel model;
     int64_t occurrences = 0;
+    /// Attributes over every occurrence under these parents (#REQUIRED
+    /// iff on all of them).
+    std::vector<Dtd::AttributeDef> attributes;
   };
 
   /// The result: for every element, its per-parent types after merging
@@ -58,6 +61,7 @@ class ContextualInferrer {
       std::vector<ContextType> types;
       /// What a plain DTD must use (all contexts pooled).
       ContentModel merged;
+      std::vector<Dtd::AttributeDef> merged_attributes;
     };
     std::vector<ElementTypes> elements;
 
@@ -74,8 +78,9 @@ class ContextualInferrer {
   /// style) for the context-dependent elements — the schema a DTD cannot
   /// express. Uniform elements are declared globally and referenced;
   /// context-dependent ones are declared inline under each parent with
-  /// their per-context type. Recursive context chains fall back to the
-  /// pooled global declaration to stay finite.
+  /// their per-context type and attributes. Recursive context chains
+  /// fall back to the pooled global declaration to stay finite.
+  /// Attributes are declared in WriteXsd's shapes.
   Result<std::string> InferLocalXsd() const;
 
  private:

@@ -90,6 +90,21 @@ Result<ReRef> DtdInferrer::LearnRegex(const ElementSummary& summary) const {
   return result;
 }
 
+std::vector<Dtd::AttributeDef> AttributeDefs(
+    const std::map<std::string, int64_t, std::less<>>& counts,
+    int64_t occurrences) {
+  std::vector<Dtd::AttributeDef> defs;
+  defs.reserve(counts.size());
+  for (const auto& [name, count] : counts) {
+    Dtd::AttributeDef def;
+    def.name = name;
+    def.type = "CDATA";
+    def.default_decl = count == occurrences ? "#REQUIRED" : "#IMPLIED";
+    defs.push_back(std::move(def));
+  }
+  return defs;
+}
+
 Result<ContentModel> DtdInferrer::InferContentModel(Symbol element) const {
   const ElementSummary* summary = store_.Find(element);
   if (summary == nullptr) {
@@ -144,22 +159,15 @@ ElementSchema DtdInferrer::InferElement(const ElementSummary& summary,
   ElementSchema schema;
   schema.model = LearnContentModel(summary);
   if (options_.infer_attributes) {
-    for (const auto& [name, count] : summary.attribute_counts) {
-      Dtd::AttributeDef def;
-      def.name = name;
-      def.type = "CDATA";
-      def.default_decl =
-          count == summary.occurrences ? "#REQUIRED" : "#IMPLIED";
-      schema.attributes.push_back(std::move(def));
-    }
+    schema.attributes =
+        AttributeDefs(summary.attribute_counts, summary.occurrences);
   }
   if (xsd && schema.model.ok()) {
     // The bounds are keyed by the model's RE nodes, which the assembled
     // DTD shares.
     if (schema.model->kind == ContentKind::kChildren) {
-      schema.xsd.numeric = AnnotateNumericFromHistograms(
-          schema.model->regex, summary.crx.histograms(),
-          summary.crx.empty_count());
+      schema.xsd.numeric =
+          AnnotateNumericFromHistograms(schema.model->regex, summary.crx);
     }
     if (summary.has_text) {
       schema.xsd.text_type = InferSimpleType(summary.text_samples);

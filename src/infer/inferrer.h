@@ -2,6 +2,8 @@
 #define CONDTD_INFER_INFERRER_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,6 +70,13 @@ struct ElementSchema {
   /// text datatype.
   XsdElementExtras xsd;
 };
+
+/// <!ATTLIST> definitions from an element's attribute counts, in name
+/// order: CDATA, #REQUIRED iff the attribute occurred on all
+/// `occurrences` of the element, else #IMPLIED.
+std::vector<Dtd::AttributeDef> AttributeDefs(
+    const std::map<std::string, int64_t, std::less<>>& counts,
+    int64_t occurrences);
 
 /// An element and its learned share, as the assemblers take them.
 using ElementSchemaRef = std::pair<Symbol, const ElementSchema*>;

@@ -111,7 +111,8 @@ void StreamingFolder::StageContext(const Frame& frame) {
   Symbol parent = depth_ >= 2 ? stack_[depth_ - 2].symbol : kInvalidSymbol;
   doc_contexts_.push_back({frame.symbol, parent, frame.has_text,
                            static_cast<uint32_t>(context_symbols_.size()),
-                           static_cast<uint32_t>(frame.word.size())});
+                           static_cast<uint32_t>(frame.word.size()),
+                           frame.attr_first, frame.attr_count});
   context_symbols_.insert(context_symbols_.end(), frame.word.begin(),
                           frame.word.end());
 }
@@ -130,6 +131,19 @@ void StreamingFolder::CommitContexts() {
     flush_word_.assign(word, word + record.word_length);
     summary.AddChildWord(flush_word_, 1, limits);
     if (record.has_text) summary.has_text = true;
+    CountAttributes(record.attr_first, record.attr_count, &summary);
+  }
+}
+
+void StreamingFolder::CountAttributes(uint32_t first, uint32_t count,
+                                      ElementSummary* summary) {
+  for (uint32_t a = 0; a < count; ++a) {
+    std::string_view key = attr_keys_[first + a];
+    auto it = summary->attribute_counts.find(key);
+    if (it == summary->attribute_counts.end()) {
+      it = summary->attribute_counts.emplace(std::string(key), 0).first;
+    }
+    ++it->second;
   }
 }
 
@@ -157,15 +171,8 @@ void StreamingFolder::CommitDocument() {
                        store_->limits());
   }
   for (const AttrRecord& record : doc_attr_records_) {
-    ElementSummary& summary = EnsureState(record.symbol);
-    for (uint32_t a = 0; a < record.attr_count; ++a) {
-      std::string_view key = attr_keys_[record.attr_first + a];
-      auto it = summary.attribute_counts.find(key);
-      if (it == summary.attribute_counts.end()) {
-        it = summary.attribute_counts.emplace(std::string(key), 0).first;
-      }
-      ++it->second;
-    }
+    CountAttributes(record.attr_first, record.attr_count,
+                    &EnsureState(record.symbol));
   }
   for (Symbol s : doc_new_children_) store_->MarkSeenAsChild(s);
   if (contexts_ != nullptr) CommitContexts();

@@ -54,10 +54,10 @@ using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
 /// all-clean corpus.
 ///
 /// Vertical context: with a `ContextSummaries` map attached, each
-/// completed element's word is also staged under (element, the frame
-/// below it), and the staged words fold into the map one by one, in
-/// end-tag order, when the document commits; a failed document drops
-/// them with the rest of its state. A folder with no map attached pays
+/// completed element's word and attribute keys are also staged under
+/// (element, the frame below it), and fold into the map one element at
+/// a time, in end-tag order, when the document commits; a failed
+/// document drops them with the rest of its state. A folder with no map attached pays
 /// one pointer test per element for this.
 ///
 /// Byte identity: text samples are taken at each element's end tag and
@@ -151,13 +151,16 @@ class StreamingFolder {
     uint32_t attr_count = 0;
   };
   /// A completed element staged for the attached ContextSummaries; its
-  /// word is `word_length` symbols of context_symbols_ from `word_first`.
+  /// word is `word_length` symbols of context_symbols_ from `word_first`,
+  /// its attributes `attr_count` keys of attr_keys_ from `attr_first`.
   struct ContextRecord {
     Symbol symbol = kInvalidSymbol;
     Symbol parent = kInvalidSymbol;
     bool has_text = false;
     uint32_t word_first = 0;
     uint32_t word_length = 0;
+    uint32_t attr_first = 0;
+    uint32_t attr_count = 0;
   };
 
   /// Dense symbol-indexed cache of store entries, lazily filled — the
@@ -179,6 +182,10 @@ class StreamingFolder {
   void StageContext(const Frame& frame);
   void CommitDocument();
   void CommitContexts();
+  /// Counts the `count` attribute keys of attr_keys_ from `first` into
+  /// `summary`.
+  void CountAttributes(uint32_t first, uint32_t count,
+                       ElementSummary* summary);
   void ResetDocument();
   void FoldWeighted(Symbol element, const Word& word, int64_t count);
 

@@ -247,14 +247,15 @@ std::string SummaryStore::Save(const Alphabet& alphabet) const {
     if (soa.accepts_empty()) {
       out += "soa.empty " + std::to_string(soa.empty_support()) + "\n";
     }
-    const CrxState& crx = summary.crx;
-    for (const auto& [from, to] : crx.edges()) {
+    // →_W lives once, in the SOA; the crx.edge lines repeat it.
+    for (const auto& [from, to] : soa.SymbolEdges()) {
       out += "crx.edge " + name(from) + " " + name(to) + "\n";
     }
+    const CrxState& crx = summary.crx;
     if (crx.empty_count() > 0) {
       out += "crx.empty " + std::to_string(crx.empty_count()) + "\n";
     }
-    for (const auto& [histogram, count] : crx.histograms()) {
+    for (const auto& [histogram, count] : crx.SortedHistograms()) {
       out += "crx.hist " + std::to_string(count);
       for (const auto& [sym, n] : histogram) {
         out += " " + name(sym) + "=" + std::to_string(n);
@@ -305,6 +306,36 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
   }
   ElementSummary* current = nullptr;
   bool saw_end = false;
+  // →_W is kept once, in the SOA, so a section's crx.edge lines must
+  // state exactly its soa.edge relation. Each maps an edge to the first
+  // line (1-based) that states it; compared when the section closes.
+  // The file's own lines are compared, not the merged SOA, since Load
+  // may merge into a store that already holds this element.
+  std::map<std::pair<Symbol, Symbol>, size_t> soa_edge_lines;
+  std::map<std::pair<Symbol, Symbol>, size_t> crx_edge_lines;
+  auto close_section = [&]() {
+    auto unmatched = [&](const auto& lines_of, const auto& other,
+                         const char* tag, const char* other_tag) {
+      for (const auto& [edge, line] : lines_of) {
+        if (other.count(edge) == 0) {
+          return Status::ParseError(
+              "state line " + std::to_string(line) + ": " + tag + " " +
+              alphabet->Name(edge.first) + " " + alphabet->Name(edge.second) +
+              " has no matching " + other_tag + " line");
+        }
+      }
+      return Status::OK();
+    };
+    Status status =
+        unmatched(crx_edge_lines, soa_edge_lines, "crx.edge", "soa.edge");
+    if (status.ok()) {
+      status =
+          unmatched(soa_edge_lines, crx_edge_lines, "soa.edge", "crx.edge");
+    }
+    soa_edge_lines.clear();
+    crx_edge_lines.clear();
+    return status;
+  };
   for (size_t i = 1; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
     std::vector<std::string> fields = SplitString(lines[i], ' ');
@@ -339,6 +370,7 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       return Status::OK();
     };
     if (tag == "end") {
+      CONDTD_RETURN_IF_ERROR(close_section());
       saw_end = true;
       break;
     }
@@ -355,6 +387,7 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       continue;
     }
     if (tag == "element") {
+      CONDTD_RETURN_IF_ERROR(close_section());
       CONDTD_RETURN_IF_ERROR(require(4));
       int64_t occurrences;
       CONDTD_RETURN_IF_ERROR(count64(fields[2], &occurrences));
@@ -415,9 +448,11 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       CONDTD_RETURN_IF_ERROR(require(4));
       int32_t support;
       CONDTD_RETURN_IF_ERROR(count32(fields[3], &support));
-      current->soa.AddEdge(
-          current->soa.AddState(alphabet->Intern(fields[1])),
-          current->soa.AddState(alphabet->Intern(fields[2])), support);
+      Symbol from = alphabet->Intern(fields[1]);
+      Symbol to = alphabet->Intern(fields[2]);
+      soa_edge_lines.try_emplace({from, to}, i + 1);
+      current->soa.AddEdge(current->soa.AddState(from),
+                           current->soa.AddState(to), support);
     } else if (tag == "soa.empty") {
       CONDTD_RETURN_IF_ERROR(require(2));
       int32_t support;
@@ -426,8 +461,8 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       current->soa.add_empty_support(support);
     } else if (tag == "crx.edge") {
       CONDTD_RETURN_IF_ERROR(require(3));
-      current->crx.RestoreEdge(alphabet->Intern(fields[1]),
-                               alphabet->Intern(fields[2]));
+      crx_edge_lines.try_emplace(
+          {alphabet->Intern(fields[1]), alphabet->Intern(fields[2])}, i + 1);
     } else if (tag == "crx.empty") {
       CONDTD_RETURN_IF_ERROR(require(2));
       int64_t count;

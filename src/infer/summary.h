@@ -42,9 +42,10 @@ struct SummaryLimits {
 /// pipelines exact rather than approximate.
 struct ElementSummary {
   /// 2T-INF single occurrence automaton over the child words (iDTD,
-  /// rewrite and Trang-like input).
+  /// rewrite and Trang-like input). Its edge set is also CRX's
+  /// successor relation →_W.
   Soa soa;
-  /// CRX summaries: successor relation + deduplicated histograms.
+  /// CRX's deduplicated per-word histograms.
   CrxState crx;
   /// Element occurrence count (== number of child words folded).
   int64_t occurrences = 0;

@@ -107,7 +107,9 @@ namespace {
 /// must be byte-identical to --algorithm=idtd / --algorithm=crx.
 Result<ReRef> BaselineLearn(const ElementSummary& summary,
                             const LearnOptions& options, bool chare) {
-  if (chare) return summary.crx.Infer(options.noise_symbol_threshold);
+  if (chare) {
+    return summary.crx.Infer(summary.soa, options.noise_symbol_threshold);
+  }
   IdtdOptions idtd_options = options.idtd;
   if (options.noise_symbol_threshold > 0 &&
       idtd_options.noise_symbol_threshold == 0) {

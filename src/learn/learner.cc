@@ -38,7 +38,7 @@ class CrxLearner : public Learner {
   }
   Result<ReRef> Learn(const ElementSummary& summary,
                       const LearnOptions& options) const override {
-    return summary.crx.Infer(options.noise_symbol_threshold);
+    return summary.crx.Infer(summary.soa, options.noise_symbol_threshold);
   }
 };
 

@@ -25,23 +25,22 @@ bool FactorSymbols(const ReRef& re, std::set<Symbol>* out) {
   return true;
 }
 
-void Annotate(const ReRef& re,
-              const std::map<CrxState::Histogram, int64_t>& histograms,
-              int64_t empty_count, NumericAnnotations* out) {
+void Annotate(const ReRef& re, const CrxState& crx,
+              NumericAnnotations* out) {
   if (re->kind() == ReKind::kPlus || re->kind() == ReKind::kStar) {
     std::set<Symbol> factor;
     if (FactorSymbols(re->child(), &factor)) {
       int min_count = std::numeric_limits<int>::max();
       int max_count = 0;
-      for (const auto& [histogram, count] : histograms) {
+      crx.ForEachHistogram([&](CrxState::HistogramView histogram, int64_t) {
         int total = 0;
         for (const auto& [sym, n] : histogram) {
           if (factor.count(sym) > 0) total += n;
         }
         min_count = std::min(min_count, total);
         max_count = std::max(max_count, total);
-      }
-      if (empty_count > 0) min_count = 0;
+      });
+      if (crx.has_empty_word()) min_count = 0;
       if (min_count == std::numeric_limits<int>::max()) min_count = 0;
       // A `+` factor can only have been inferred from counts >= 1.
       if (re->kind() == ReKind::kPlus) min_count = std::max(min_count, 1);
@@ -54,37 +53,25 @@ void Annotate(const ReRef& re,
     }
   }
   for (const auto& c : re->children()) {
-    Annotate(c, histograms, empty_count, out);
+    Annotate(c, crx, out);
   }
 }
 
 }  // namespace
 
-NumericAnnotations AnnotateNumericFromHistograms(
-    const ReRef& re,
-    const std::map<CrxState::Histogram, int64_t>& histograms,
-    int64_t empty_count) {
+NumericAnnotations AnnotateNumericFromHistograms(const ReRef& re,
+                                                 const CrxState& crx) {
   NumericAnnotations out;
   if (!IsSore(re)) return out;  // factors would not be identifiable
-  Annotate(re, histograms, empty_count, &out);
+  Annotate(re, crx, &out);
   return out;
 }
 
 NumericAnnotations AnnotateNumeric(const ReRef& re,
                                    const std::vector<Word>& sample) {
-  std::map<CrxState::Histogram, int64_t> histograms;
-  int64_t empty_count = 0;
-  for (const Word& word : sample) {
-    if (word.empty()) {
-      ++empty_count;
-      continue;
-    }
-    std::map<Symbol, int> counts;
-    for (Symbol s : word) ++counts[s];
-    CrxState::Histogram histogram(counts.begin(), counts.end());
-    ++histograms[histogram];
-  }
-  return AnnotateNumericFromHistograms(re, histograms, empty_count);
+  CrxState crx;
+  crx.AddWords(sample);
+  return AnnotateNumericFromHistograms(re, crx);
 }
 
 namespace {

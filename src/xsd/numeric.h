@@ -30,12 +30,10 @@ using NumericAnnotations = std::map<const Re*, NumericAnnotation>;
 NumericAnnotations AnnotateNumeric(const ReRef& re,
                                    const std::vector<Word>& sample);
 
-/// Same, but fed from a CRX-style histogram summary (so the inferrer can
+/// Same, but fed from a CRX histogram summary (so the inferrer can
 /// annotate without retaining the data).
-NumericAnnotations AnnotateNumericFromHistograms(
-    const ReRef& re,
-    const std::map<CrxState::Histogram, int64_t>& histograms,
-    int64_t empty_count);
+NumericAnnotations AnnotateNumericFromHistograms(const ReRef& re,
+                                                 const CrxState& crx);
 
 /// Renders the RE with numerical predicates in the paper's notation
 /// (a=2 b>=2 instead of a a b b b*).

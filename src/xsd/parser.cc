@@ -100,7 +100,6 @@ class XsdReader {
     bool is_mixed = mixed != nullptr && *mixed == "true";
 
     const XmlElement* particle = nullptr;
-    bool has_any = false;
     for (const auto& child : complex_type.children()) {
       std::string_view local = LocalName(child->name());
       if (local == "attribute") {

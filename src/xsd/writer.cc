@@ -178,14 +178,7 @@ std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
         attrs_it != dtd.attributes.end() && !attrs_it->second.empty();
 
     auto write_attributes = [&](int indent) {
-      if (!has_attrs) return;
-      std::string pad(indent * 2, ' ');
-      for (const auto& def : attrs_it->second) {
-        out += pad + "<xs:attribute name=\"" + def.name +
-               "\" type=\"xs:string\"";
-        if (def.default_decl == "#REQUIRED") out += " use=\"required\"";
-        out += "/>\n";
-      }
+      if (has_attrs) WriteXsdAttributes(attrs_it->second, indent, &out);
     };
 
     switch (model.kind) {
@@ -250,6 +243,17 @@ std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
   }
   out += "</xs:schema>\n";
   return out;
+}
+
+void WriteXsdAttributes(const std::vector<Dtd::AttributeDef>& attributes,
+                        int indent, std::string* out) {
+  std::string pad(indent * 2, ' ');
+  for (const Dtd::AttributeDef& def : attributes) {
+    *out += pad + "<xs:attribute name=\"" + def.name +
+            "\" type=\"xs:string\"";
+    if (def.default_decl == "#REQUIRED") *out += " use=\"required\"";
+    *out += "/>\n";
+  }
 }
 
 std::string InferSimpleType(const std::vector<std::string>& samples) {

@@ -55,6 +55,11 @@ class XsdPrinter {
   EmitElement emit_element_;
 };
 
+/// Renders `attributes` as xs:string xs:attribute declarations at
+/// `indent`, with use="required" for the #REQUIRED ones.
+void WriteXsdAttributes(const std::vector<Dtd::AttributeDef>& attributes,
+                        int indent, std::string* out);
+
 /// Serializes the DTD as a W3C XML Schema document (the 85% of XSDs that
 /// are structurally equivalent to a DTD, per [9]). Uses one global
 /// xs:element per name with ref-based content models.

@@ -311,6 +311,57 @@ TEST_F(CliTest, LenientInfersFromTagSoup) {
   EXPECT_NE(lenient.output.find("<!ELEMENT html"), std::string::npos);
 }
 
+TEST_F(CliTest, ContextTakesTheLearnerFlags) {
+  // --lenient, --algorithm and --noise parse as for infer and reach the
+  // contextual inferrer.
+  std::string soup = TempPath("context_soup.xml");
+  ASSERT_TRUE(WriteStringToFile(
+                  soup, "<html><body><p>one<p>two</body></html>")
+                  .ok());
+  EXPECT_EQ(RunCli("context " + soup).exit_code, 1);  // strict rejects
+  CommandResult lenient = RunCli("context --lenient " + soup);
+  EXPECT_EQ(lenient.exit_code, 0) << lenient.output;
+  EXPECT_EQ(lenient.output, R"(html: (body)  (uniform; DTD-expressible)
+body: (p)  (uniform; DTD-expressible)
+p: 2 context-dependent types
+  under body: (#PCDATA | p)* (1 occurrences)
+  under p: (#PCDATA) (1 occurrences)
+  DTD approximation: (#PCDATA | p)*
+)");
+
+  CommandResult unknown = RunCli("context --algorithm=nope " + soup);
+  EXPECT_EQ(unknown.exit_code, 2);
+  EXPECT_NE(unknown.output.find("unknown algorithm 'nope' (registered: "
+                                "auto, idtd, crx, isore, sire, rewrite, "
+                                "trang, xtract)"),
+            std::string::npos)
+      << unknown.output;
+
+  CommandResult junk = RunCli("context --noise=abc " + soup);
+  EXPECT_EQ(junk.exit_code, 2);
+  EXPECT_NE(junk.output.find("--noise=abc: expected an integer >= 0"),
+            std::string::npos)
+      << junk.output;
+
+  // z occurs once: --noise=2 drops it from s's model, under either
+  // learner.
+  std::string noisy = TempPath("context_noisy.xml");
+  ASSERT_TRUE(WriteStringToFile(
+                  noisy, "<r><s><a/></s><s><a/></s><s><a/><z/></s></r>")
+                  .ok());
+  CommandResult plain = RunCli("context " + noisy);
+  EXPECT_NE(plain.output.find("s: (a, z?)  (uniform"), std::string::npos)
+      << plain.output;
+  for (const char* learner : {"idtd", "crx"}) {
+    CommandResult pruned = RunCli("context --noise=2 --algorithm=" +
+                                  std::string(learner) + " " + noisy);
+    EXPECT_EQ(pruned.exit_code, 0) << pruned.output;
+    EXPECT_NE(pruned.output.find("s: (a)  (uniform"), std::string::npos)
+        << learner << "\n"
+        << pruned.output;
+  }
+}
+
 TEST_F(CliTest, MissingFileFails) {
   CommandResult result = RunCli("infer /nonexistent/x.xml");
   EXPECT_EQ(result.exit_code, 1);

@@ -110,6 +110,97 @@ TEST(Contextual, LocalXsdHandlesRecursiveContexts) {
   EXPECT_TRUE(ParseXml(*xsd).ok()) << *xsd;
 }
 
+TEST(Contextual, LocalXsdDeclaresAttributes) {
+  // In WriteXsd's shapes: a #PCDATA element with attributes becomes a
+  // mixed complexType, and an attribute is required iff it occurs on
+  // every occurrence of the type.
+  ContextualInferrer uniform;
+  ASSERT_TRUE(
+      uniform.AddXml(R"(<r a="1"><x b="2">t</x><x b="3">u</x></r>)").ok());
+  Result<std::string> xsd = uniform.InferLocalXsd();
+  ASSERT_TRUE(xsd.ok()) << xsd.status().ToString();
+  EXPECT_EQ(*xsd,
+            "<?xml version=\"1.0\"?>\n"
+            "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n"
+            "  <xs:element name=\"r\">\n"
+            "    <xs:complexType>\n"
+            "      <xs:sequence>\n"
+            "        <xs:element ref=\"x\" maxOccurs=\"unbounded\"/>\n"
+            "      </xs:sequence>\n"
+            "      <xs:attribute name=\"a\" type=\"xs:string\" "
+            "use=\"required\"/>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "  <xs:element name=\"x\">\n"
+            "    <xs:complexType mixed=\"true\">\n"
+            "      <xs:attribute name=\"b\" type=\"xs:string\" "
+            "use=\"required\"/>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "</xs:schema>\n");
+
+  // k occurs on x only under p: required in p's local type, absent from
+  // q's, and optional in the pooled global declaration.
+  ContextualInferrer split;
+  ASSERT_TRUE(split
+                  .AddXml("<r><p><x k=\"1\"><y/></x></p>"
+                          "<q><x><y/><y/></x></q></r>")
+                  .ok());
+  xsd = split.InferLocalXsd();
+  ASSERT_TRUE(xsd.ok()) << xsd.status().ToString();
+  EXPECT_EQ(*xsd,
+            "<?xml version=\"1.0\"?>\n"
+            "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n"
+            "  <xs:element name=\"r\">\n"
+            "    <xs:complexType>\n"
+            "      <xs:sequence>\n"
+            "        <xs:element ref=\"p\"/>\n"
+            "        <xs:element ref=\"q\"/>\n"
+            "      </xs:sequence>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "  <xs:element name=\"p\">\n"
+            "    <xs:complexType>\n"
+            "      <xs:sequence>\n"
+            "        <xs:element name=\"x\">\n"
+            "          <xs:complexType>\n"
+            "            <xs:sequence>\n"
+            "              <xs:element ref=\"y\"/>\n"
+            "            </xs:sequence>\n"
+            "            <xs:attribute name=\"k\" type=\"xs:string\" "
+            "use=\"required\"/>\n"
+            "          </xs:complexType>\n"
+            "        </xs:element>\n"
+            "      </xs:sequence>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "  <xs:element name=\"x\">\n"
+            "    <xs:complexType>\n"
+            "      <xs:sequence>\n"
+            "        <xs:element ref=\"y\" maxOccurs=\"unbounded\"/>\n"
+            "      </xs:sequence>\n"
+            "      <xs:attribute name=\"k\" type=\"xs:string\"/>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "  <xs:element name=\"y\">\n"
+            "    <xs:complexType/>\n"
+            "  </xs:element>\n"
+            "  <xs:element name=\"q\">\n"
+            "    <xs:complexType>\n"
+            "      <xs:sequence>\n"
+            "        <xs:element name=\"x\">\n"
+            "          <xs:complexType>\n"
+            "            <xs:sequence>\n"
+            "              <xs:element ref=\"y\" maxOccurs=\"unbounded\"/>\n"
+            "            </xs:sequence>\n"
+            "          </xs:complexType>\n"
+            "        </xs:element>\n"
+            "      </xs:sequence>\n"
+            "    </xs:complexType>\n"
+            "  </xs:element>\n"
+            "</xs:schema>\n");
+}
+
 TEST(Contextual, ReportRendering) {
   ContextualInferrer inferrer;
   ASSERT_TRUE(inferrer.AddXml(kShopXml).ok());

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "automaton/two_t_inf.h"
+#include "base/fold_scratch.h"
 #include "base/rng.h"
 #include "gen/random_regex.h"
 #include "gen/regex_sampler.h"
@@ -164,8 +168,9 @@ TEST(Crx, IncrementalEqualsBatch) {
     CrxState incremental;
     for (const Word& w : sample) incremental.AddWord(w);
 
-    Result<ReRef> a = batch.Infer();
-    Result<ReRef> b = incremental.Infer();
+    const Soa soa = Infer2T(sample);
+    Result<ReRef> a = batch.Infer(soa);
+    Result<ReRef> b = incremental.Infer(soa);
     ASSERT_EQ(a.ok(), b.ok());
     if (a.ok()) {
       EXPECT_TRUE(StructurallyEqual(a.value(), b.value()));
@@ -183,9 +188,10 @@ TEST(Crx, OrderInsensitive) {
   for (auto it = sample.rbegin(); it != sample.rend(); ++it) {
     backward.AddWord(*it);
   }
-  ASSERT_TRUE(forward.Infer().ok());
-  EXPECT_TRUE(StructurallyEqual(forward.Infer().value(),
-                                backward.Infer().value()));
+  const Soa soa = Infer2T(sample);
+  ASSERT_TRUE(forward.Infer(soa).ok());
+  EXPECT_TRUE(StructurallyEqual(forward.Infer(soa).value(),
+                                backward.Infer(soa).value()));
 }
 
 TEST(Crx, EmptySampleFails) {
@@ -223,9 +229,11 @@ TEST(Crx, NoiseThresholdDropsRareSymbols) {
   EXPECT_NE(ToString(with_noise.value(), alphabet).find("x"),
             std::string::npos);
 
+  std::vector<Word> sample = WordsFromStrings(strings, &alphabet);
   CrxState state;
-  state.AddWords(WordsFromStrings(strings, &alphabet));
-  Result<ReRef> filtered = state.Infer(/*min_symbol_support=*/5);
+  state.AddWords(sample);
+  Result<ReRef> filtered =
+      state.Infer(Infer2T(sample), /*min_symbol_support=*/5);
   ASSERT_TRUE(filtered.ok());
   EXPECT_EQ(ToString(filtered.value(), alphabet), "a b");
 }
@@ -282,6 +290,160 @@ TEST(Crx, HistogramDeduplicationKeepsSummarySmall) {
   }
   EXPECT_EQ(state.num_words(), 20000);
   EXPECT_EQ(state.num_distinct_histograms(), 2);
+}
+
+// --- the flat histogram pool against a naive multiset ----------------------
+
+using SortedMultiset = std::vector<std::pair<CrxState::Histogram, int64_t>>;
+
+/// The summary CrxState keeps, built the obvious way: a std::map from
+/// each word's histogram to its number of words, plus the ε count.
+struct NaiveCrx {
+  std::map<CrxState::Histogram, int64_t> histograms;
+  int64_t empty = 0;
+  int64_t words = 0;
+
+  void Add(const Word& word, int64_t multiplicity = 1) {
+    words += multiplicity;
+    if (word.empty()) {
+      empty += multiplicity;
+      return;
+    }
+    std::map<Symbol, int> counts;
+    for (Symbol s : word) ++counts[s];
+    histograms[CrxState::Histogram(counts.begin(), counts.end())] +=
+        multiplicity;
+  }
+};
+
+void ExpectMatchesNaive(const CrxState& state, const NaiveCrx& naive) {
+  EXPECT_EQ(state.SortedHistograms(),
+            SortedMultiset(naive.histograms.begin(), naive.histograms.end()));
+  EXPECT_EQ(state.num_distinct_histograms(),
+            static_cast<int>(naive.histograms.size()));
+  EXPECT_EQ(state.empty_count(), naive.empty);
+  EXPECT_EQ(state.num_words(), naive.words);
+}
+
+/// Random words, ε included, over a few symbols below the dense fold
+/// window and a few at or above it, so both histogram kernels run.
+std::vector<Word> RandomWords(Rng* rng, int count) {
+  std::vector<Word> words;
+  for (int i = 0; i < count; ++i) {
+    Word word;
+    const int length = static_cast<int>(rng->NextBelow(10));
+    const bool wide = rng->Bernoulli(0.3);
+    for (int j = 0; j < length; ++j) {
+      Symbol s = static_cast<Symbol>(rng->NextBelow(6));
+      if (wide && rng->Bernoulli(0.5)) s += kDenseFoldWindow;
+      word.push_back(s);
+    }
+    words.push_back(std::move(word));
+  }
+  return words;
+}
+
+TEST(CrxPool, MatchesNaiveMultisetOnRandomWords) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    CrxState state;
+    NaiveCrx naive;
+    for (const Word& word : RandomWords(&rng, 200)) {
+      state.AddWord(word);
+      naive.Add(word);
+    }
+    ExpectMatchesNaive(state, naive);
+  }
+}
+
+TEST(CrxPool, WeightedFoldsMatchRepeatedFolds) {
+  Rng rng(77);
+  CrxState weighted;
+  CrxState repeated;
+  NaiveCrx naive;
+  for (const Word& word : RandomWords(&rng, 300)) {
+    const int64_t k = 1 + static_cast<int64_t>(rng.NextBelow(5));
+    weighted.AddWord(word, k);
+    for (int64_t i = 0; i < k; ++i) repeated.AddWord(word);
+    naive.Add(word, k);
+  }
+  ExpectMatchesNaive(weighted, naive);
+  ExpectMatchesNaive(repeated, naive);
+}
+
+TEST(CrxPool, ShardsMergeInEitherOrderAndThroughARemap) {
+  Rng rng(31);
+  std::vector<Word> first = RandomWords(&rng, 150);
+  std::vector<Word> second = RandomWords(&rng, 150);
+  NaiveCrx naive;
+  CrxState a;
+  CrxState b;
+  for (const Word& word : first) {
+    a.AddWord(word);
+    naive.Add(word);
+  }
+  for (const Word& word : second) {
+    b.AddWord(word);
+    naive.Add(word);
+  }
+  CrxState ab = a;
+  ab.MergeFrom(b);
+  CrxState ba = b;
+  ba.MergeFrom(a);
+  ExpectMatchesNaive(ab, naive);
+  ExpectMatchesNaive(ba, naive);
+
+  // A shard that interned its alphabet in reverse: its ids run backwards
+  // through [0, kIds), and the remap turns them around again.
+  constexpr Symbol kIds = kDenseFoldWindow + 6;
+  std::vector<Symbol> remap(kIds);
+  for (Symbol s = 0; s < kIds; ++s) remap[s] = kIds - 1 - s;
+  CrxState reversed;
+  for (const Word& word : second) {
+    Word local;
+    for (Symbol s : word) local.push_back(kIds - 1 - s);
+    reversed.AddWord(local);
+  }
+  CrxState remapped = a;
+  remapped.MergeFrom(reversed, remap);
+  ExpectMatchesNaive(remapped, naive);
+}
+
+TEST(CrxPool, ManyDistinctHistogramsGrowTheSlotArray) {
+  CrxState state;
+  NaiveCrx naive;
+  // 1 500 distinct histograms, each folded three times, interleaved so
+  // every growth re-seats entries that later lookups must still find.
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 1500; ++i) {
+      Word word(1 + i % 7, static_cast<Symbol>(i / 7));
+      word.push_back(static_cast<Symbol>(300 + i % 11));
+      state.AddWord(word);
+      naive.Add(word);
+    }
+  }
+  EXPECT_EQ(state.num_distinct_histograms(), 1500);
+  ExpectMatchesNaive(state, naive);
+}
+
+TEST(CrxPool, CopiedStateKeepsAcceptingWords) {
+  Rng rng(5);
+  std::vector<Word> head = RandomWords(&rng, 100);
+  std::vector<Word> tail = RandomWords(&rng, 100);
+  CrxState original;
+  NaiveCrx naive_head;
+  for (const Word& word : head) {
+    original.AddWord(word);
+    naive_head.Add(word);
+  }
+  CrxState copy(original);
+  NaiveCrx naive_all = naive_head;
+  for (const Word& word : tail) {
+    copy.AddWord(word);
+    naive_all.Add(word);
+  }
+  ExpectMatchesNaive(copy, naive_all);
+  ExpectMatchesNaive(original, naive_head);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "automaton/two_t_inf.h"
 #include "base/fold_scratch.h"
 #include "base/rng.h"
+#include "check/oracles.h"
 #include "check/reference_fold.h"
 #include "crx/crx.h"
 #include "dtd/dtd_parser.h"
@@ -181,21 +182,14 @@ void ExpectFoldMatchesShifted(const Word& word, int multiplicity) {
   generic_crx.AddWord(shifted, multiplicity);
   EXPECT_EQ(dense_crx.num_words(), generic_crx.num_words());
   EXPECT_EQ(dense_crx.empty_count(), generic_crx.empty_count());
-  ASSERT_EQ(dense_crx.edges().size(), generic_crx.edges().size());
-  for (const auto& [from, to] : dense_crx.edges()) {
-    EXPECT_TRUE(generic_crx.edges().count({from + kShift, to + kShift}))
-        << "edge " << from << "->" << to << " missing from generic path";
+  // →_W is the SOA's edge set, compared above; the histograms must
+  // agree under the shift.
+  std::vector<std::pair<CrxState::Histogram, int64_t>> shifted_histograms =
+      dense_crx.SortedHistograms();
+  for (auto& [histogram, count] : shifted_histograms) {
+    for (auto& [symbol, occurrences] : histogram) symbol += kShift;
   }
-  ASSERT_EQ(dense_crx.histograms().size(), generic_crx.histograms().size());
-  for (const auto& [histogram, count] : dense_crx.histograms()) {
-    CrxState::Histogram shifted_histogram;
-    for (const auto& [symbol, occurrences] : histogram) {
-      shifted_histogram.emplace_back(symbol + kShift, occurrences);
-    }
-    auto it = generic_crx.histograms().find(shifted_histogram);
-    ASSERT_NE(it, generic_crx.histograms().end());
-    EXPECT_EQ(it->second, count);
-  }
+  EXPECT_EQ(shifted_histograms, generic_crx.SortedHistograms());
 }
 
 TEST(DenseFoldKernel, MatchesGenericPathAcrossWordShapes) {
@@ -392,6 +386,10 @@ TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   EXPECT_TRUE(ReferenceFoldXml(doc, &reference).ok());
   EXPECT_TRUE(ReferenceFoldXml(doc, &reference).ok());
   EXPECT_EQ(streaming.SaveState(), reference.SaveState());
+  // In memory too: the sorted histograms, and →_W through the SOAs.
+  OracleResult same = CheckSummaryEquivalence(
+      streaming.summaries(), reference.summaries(), *streaming.alphabet());
+  EXPECT_TRUE(same.passed) << same.detail;
 }
 
 }  // namespace

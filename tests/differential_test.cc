@@ -215,7 +215,7 @@ TEST(Differential, CorpusASireMatchesCrx) {
 }
 
 TEST(Differential, CorpusBAllAlgorithmsAgree) {
-  for (const std::string& learner :
+  for (const char* learner :
        {"auto", "idtd", "crx", "isore", "sire", "rewrite"}) {
     ExpectEverywhere(CorpusB(), learner, kGoldenB);
   }

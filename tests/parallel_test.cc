@@ -86,25 +86,39 @@ TEST(SoaMerge, AssociativeAndCommutative) {
   ExpectSoaIdentical(ab, ba);
 }
 
-CrxState CrxOf(const std::vector<std::string>& strings,
-               Alphabet* alphabet) {
-  CrxState state;
-  state.AddWords(WordsFromStrings(strings, alphabet));
-  return state;
+/// CRX's histogram summary beside the SOA folded from the same words,
+/// which carries →_W — the pair an ElementSummary keeps.
+struct CrxSummary {
+  CrxState crx;
+  Soa soa;
+
+  void MergeFrom(const CrxSummary& other) {
+    crx.MergeFrom(other.crx);
+    soa.MergeFrom(other.soa);
+  }
+};
+
+CrxSummary CrxOf(const std::vector<std::string>& strings,
+                 Alphabet* alphabet) {
+  std::vector<Word> words = WordsFromStrings(strings, alphabet);
+  CrxSummary summary;
+  summary.crx.AddWords(words);
+  summary.soa = Infer2T(words);
+  return summary;
 }
 
-void ExpectCrxIdentical(const CrxState& a, const CrxState& b) {
-  EXPECT_EQ(a.edges(), b.edges());
-  EXPECT_EQ(a.histograms(), b.histograms());
-  EXPECT_EQ(a.empty_count(), b.empty_count());
-  EXPECT_EQ(a.num_words(), b.num_words());
+void ExpectCrxIdentical(const CrxSummary& a, const CrxSummary& b) {
+  EXPECT_TRUE(a.soa.Equals(b.soa));
+  EXPECT_EQ(a.crx.SortedHistograms(), b.crx.SortedHistograms());
+  EXPECT_EQ(a.crx.empty_count(), b.crx.empty_count());
+  EXPECT_EQ(a.crx.num_words(), b.crx.num_words());
 }
 
 TEST(CrxMerge, MatchesSequentialFold) {
   Alphabet alphabet;
   std::vector<std::string> part1 = {"aab", "", "ba"};
   std::vector<std::string> part2 = {"ab", "aab", "c"};
-  CrxState merged = CrxOf(part1, &alphabet);
+  CrxSummary merged = CrxOf(part1, &alphabet);
   merged.MergeFrom(CrxOf(part2, &alphabet));
   std::vector<std::string> all = part1;
   all.insert(all.end(), part2.begin(), part2.end());
@@ -113,22 +127,22 @@ TEST(CrxMerge, MatchesSequentialFold) {
 
 TEST(CrxMerge, AssociativeAndCommutative) {
   Alphabet alphabet;
-  CrxState a = CrxOf({"ab", "aab", ""}, &alphabet);
-  CrxState b = CrxOf({"bc", "b"}, &alphabet);
-  CrxState c = CrxOf({"ca", "", "abc"}, &alphabet);
+  CrxSummary a = CrxOf({"ab", "aab", ""}, &alphabet);
+  CrxSummary b = CrxOf({"bc", "b"}, &alphabet);
+  CrxSummary c = CrxOf({"ca", "", "abc"}, &alphabet);
 
-  CrxState left = a;
+  CrxSummary left = a;
   left.MergeFrom(b);
   left.MergeFrom(c);
-  CrxState bc = b;
+  CrxSummary bc = b;
   bc.MergeFrom(c);
-  CrxState right = a;
+  CrxSummary right = a;
   right.MergeFrom(bc);
   ExpectCrxIdentical(left, right);
 
-  CrxState ab = a;
+  CrxSummary ab = a;
   ab.MergeFrom(b);
-  CrxState ba = b;
+  CrxSummary ba = b;
   ba.MergeFrom(a);
   ExpectCrxIdentical(ab, ba);
 }

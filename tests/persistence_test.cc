@@ -424,6 +424,84 @@ TEST(StatePersistence, DuplicateElementSectionsMerge) {
   EXPECT_TRUE(summary->has_text);
 }
 
+// →_W is kept once, in the SOA; a section's crx.edge lines repeat its
+// soa.edge relation and must state exactly that relation.
+constexpr char kOneEdgeSection[] =
+    "condtd-state 2\n"
+    "element e 2 0\n"
+    "soa.state a 2\n"
+    "soa.state b 1\n"
+    "soa.init a 2\n"
+    "soa.final a 1\n"
+    "soa.final b 1\n"
+    "soa.edge a b 1\n";  // line 8
+
+TEST(StatePersistence, RejectsCrxEdgeLinesThatDifferFromSoaEdges) {
+  {
+    SummaryStore store;
+    Alphabet alphabet;
+    Status status = store.Load(std::string(kOneEdgeSection) +
+                                   "crx.hist 1 a=1\n"
+                                   "crx.hist 1 a=1 b=1\n"
+                                   "end\n",
+                               &alphabet);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.ToString().find(
+                  "state line 8: soa.edge a b has no matching crx.edge line"),
+              std::string::npos)
+        << status.ToString();
+  }
+  {
+    // The check runs when the section closes, here at the next element.
+    SummaryStore store;
+    Alphabet alphabet;
+    Status status = store.Load(std::string(kOneEdgeSection) +
+                                   "crx.edge a b\n"
+                                   "crx.edge b a\n"  // line 10
+                                   "crx.hist 1 a=1\n"
+                                   "crx.hist 1 a=1 b=1\n"
+                                   "element b 1 0\n"
+                                   "end\n",
+                               &alphabet);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.ToString().find(
+                  "state line 10: crx.edge b a has no matching soa.edge line"),
+              std::string::npos)
+        << status.ToString();
+  }
+  SummaryStore store;
+  Alphabet alphabet;
+  EXPECT_TRUE(store
+                  .Load(std::string(kOneEdgeSection) +
+                            "crx.edge a b\n"
+                            "crx.hist 1 a=1\n"
+                            "crx.hist 1 a=1 b=1\n"
+                            "end\n",
+                        &alphabet)
+                  .ok());
+}
+
+TEST(StatePersistence, LoadIntoAnElementWithOtherEdgesEqualsMergeFrom) {
+  // Load compares a section's own lines, not the merged SOA: the
+  // receiving store already has edges b→a and a→c for r that the file
+  // does not mention.
+  DtdInferrer saver;
+  ASSERT_TRUE(saver.AddXml("<r><a/><b/></r>").ok());
+  ASSERT_TRUE(saver.AddXml("<r><b/><b/></r>").ok());
+  DtdInferrer loaded;
+  DtdInferrer merged;
+  for (DtdInferrer* inferrer : {&loaded, &merged}) {
+    ASSERT_TRUE(inferrer->AddXml("<r><b/><a/><c/></r>").ok());
+  }
+  ASSERT_TRUE(loaded.LoadState(saver.SaveState()).ok());
+  merged.MergeFrom(saver);
+  EXPECT_EQ(loaded.SaveState(), merged.SaveState());
+  EXPECT_EQ(WriteDtd(loaded.InferDtd().value(), *loaded.alphabet()),
+            WriteDtd(merged.InferDtd().value(), *merged.alphabet()));
+}
+
 TEST(StatePersistence, ReservoirBeyondDeclaredBoundClampsAndOverflows) {
   SummaryLimits limits;
   limits.max_retained_words = 2;

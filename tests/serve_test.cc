@@ -196,7 +196,7 @@ TEST(Journal, TornTailIsDiscarded) {
   // the bytes actually on disk.
   Result<std::string> intact = ReadFileToString(path);
   ASSERT_TRUE(intact.ok());
-  for (const std::string torn :
+  for (const std::string& torn :
        {std::string("doc 2 4000\n<c/"), std::string("doc 2 "),
         std::string("garbage that is not a header\n")}) {
     ASSERT_TRUE(WriteStringToFile(path, *intact + torn).ok());

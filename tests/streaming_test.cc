@@ -44,9 +44,10 @@ void ExpectSoaIdentical(const Soa& a, const Soa& b) {
   }
 }
 
+/// The histogram multisets and counts; →_W is the edge set of the SOA
+/// folded from the same words, which ExpectSoaIdentical compares.
 void ExpectCrxIdentical(const CrxState& a, const CrxState& b) {
-  EXPECT_EQ(a.edges(), b.edges());
-  EXPECT_EQ(a.histograms(), b.histograms());
+  EXPECT_EQ(a.SortedHistograms(), b.SortedHistograms());
   EXPECT_EQ(a.empty_count(), b.empty_count());
   EXPECT_EQ(a.num_words(), b.num_words());
 }
@@ -73,11 +74,18 @@ TEST(WeightedFold, CrxAddWordTimesKEqualsKAdds) {
   for (int k : {1, 3, 50}) {
     CrxState weighted;
     CrxState repeated;
+    Soa weighted_soa;
+    Soa repeated_soa;
     for (const Word& word : words) {
       weighted.AddWord(word, k);
-      for (int i = 0; i < k; ++i) repeated.AddWord(word);
+      Fold2T(word, &weighted_soa, k);
+      for (int i = 0; i < k; ++i) {
+        repeated.AddWord(word);
+        Fold2T(word, &repeated_soa);
+      }
     }
     ExpectCrxIdentical(weighted, repeated);
+    ExpectSoaIdentical(weighted_soa, repeated_soa);
   }
 }
 

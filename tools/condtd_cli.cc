@@ -92,7 +92,8 @@ int Usage() {
       "  condtd stats file.dtd...\n"
       "  condtd gen --schema=file.dtd [--count=N] [--seed=S] "
       "[--prefix=P] [--unordered]\n"
-      "  condtd context [--xsd] file.xml...\n"
+      "  condtd context [--xsd] [--algorithm=NAME] [--noise=N] [--lenient]\n"
+      "               file.xml...\n"
       "  condtd diff left.dtd right.dtd   (exit 0 iff language-equal)\n"
       "  condtd serve (--socket=PATH | --port=N) [--data-dir=DIR]\n"
       "               [--workers=N] [--snapshot-every=N] [--no-fsync]\n"
@@ -131,6 +132,37 @@ bool ParseCountFlag(const char* flag, const std::string& value, int min,
   return true;
 }
 
+/// The learner flags `infer`, `context` and `serve` share:
+/// --algorithm=NAME, --noise=N and --lenient.
+enum class LearnerFlag { kNotMine, kParsed, kBad };
+
+/// Applies `arg` to `options` when it is a learner flag. A bad value
+/// prints why and returns kBad (the caller exits 2).
+LearnerFlag ParseLearnerFlag(const std::string& arg,
+                             InferenceOptions* options) {
+  std::string value;
+  if (arg == "--lenient") {
+    options->lenient_xml = true;
+  } else if (GetFlag(arg, "algorithm", &value)) {
+    if (LearnerRegistry::Global().Find(value) == nullptr) {
+      std::fprintf(stderr, "unknown algorithm '%s' (registered: %s)\n",
+                   value.c_str(),
+                   LearnerRegistry::Global().NamesForDisplay(", ").c_str());
+      return LearnerFlag::kBad;
+    }
+    options->learner = value;
+  } else if (GetFlag(arg, "noise", &value)) {
+    if (!ParseCountFlag("noise", value, 0,
+                        &options->noise_symbol_threshold)) {
+      return LearnerFlag::kBad;
+    }
+    options->idtd.noise_edge_threshold = options->noise_symbol_threshold;
+  } else {
+    return LearnerFlag::kNotMine;
+  }
+  return LearnerFlag::kParsed;
+}
+
 /// Prints the observability report to stderr when RunInfer leaves scope
 /// — any exit path, success or failure, produces the report (stderr so
 /// the schema on stdout stays clean for pipelines).
@@ -157,11 +189,12 @@ int RunInfer(const std::vector<std::string>& args) {
   std::vector<std::string> files;
   StatsReporter stats;
   for (const std::string& arg : args) {
+    LearnerFlag learner_flag = ParseLearnerFlag(arg, &options);
+    if (learner_flag == LearnerFlag::kBad) return 2;
+    if (learner_flag == LearnerFlag::kParsed) continue;
     std::string value;
     if (arg == "--xsd") {
       emit_xsd = true;
-    } else if (arg == "--lenient") {
-      options.lenient_xml = true;
     } else if (arg == "--no-mmap") {
       input_options.allow_mmap = false;
     } else if (GetFlag(arg, "batch-docs", &value)) {
@@ -186,21 +219,6 @@ int RunInfer(const std::vector<std::string>& args) {
       state_in = value;
     } else if (GetFlag(arg, "state-out", &value)) {
       state_out = value;
-    } else if (GetFlag(arg, "algorithm", &value)) {
-      if (LearnerRegistry::Global().Find(value) == nullptr) {
-        std::fprintf(
-            stderr, "unknown algorithm '%s' (registered: %s)\n",
-            value.c_str(),
-            LearnerRegistry::Global().NamesForDisplay(", ").c_str());
-        return 2;
-      }
-      options.learner = value;
-    } else if (GetFlag(arg, "noise", &value)) {
-      if (!ParseCountFlag("noise", value, 0,
-                          &options.noise_symbol_threshold)) {
-        return 2;
-      }
-      options.idtd.noise_edge_threshold = options.noise_symbol_threshold;
     } else if (GetFlag(arg, "max-strings", &value)) {
       if (!ParseCountFlag("max-strings", value, 1,
                           &options.xtract.max_strings)) {
@@ -512,9 +530,13 @@ int RunDiff(const std::vector<std::string>& args) {
 }
 
 int RunContext(const std::vector<std::string>& args) {
+  InferenceOptions options;
   bool emit_xsd = false;
   std::vector<std::string> files;
   for (const std::string& arg : args) {
+    LearnerFlag learner_flag = ParseLearnerFlag(arg, &options);
+    if (learner_flag == LearnerFlag::kBad) return 2;
+    if (learner_flag == LearnerFlag::kParsed) continue;
     if (arg == "--xsd") {
       emit_xsd = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -525,7 +547,7 @@ int RunContext(const std::vector<std::string>& args) {
     }
   }
   if (files.empty()) return Usage();
-  ContextualInferrer inferrer;
+  ContextualInferrer inferrer(options);
   for (const std::string& path : files) {
     Result<std::string> content = ReadFileToString(path);
     if (!content.ok()) {
@@ -654,6 +676,10 @@ int RunServe(const std::vector<std::string>& args) {
   EndpointFlags endpoint;
   StatsReporter stats;
   for (const std::string& arg : args) {
+    LearnerFlag learner_flag =
+        ParseLearnerFlag(arg, &options.corpus.inference);
+    if (learner_flag == LearnerFlag::kBad) return 2;
+    if (learner_flag == LearnerFlag::kParsed) continue;
     std::string value;
     bool bad = false;
     if (endpoint.Parse(arg, &bad)) {
@@ -721,25 +747,6 @@ int RunServe(const std::vector<std::string>& args) {
       }
     } else if (GetFlag(arg, "http-host", &value)) {
       options.http_host = value;
-    } else if (GetFlag(arg, "algorithm", &value)) {
-      if (LearnerRegistry::Global().Find(value) == nullptr) {
-        std::fprintf(
-            stderr, "unknown algorithm '%s' (registered: %s)\n",
-            value.c_str(),
-            LearnerRegistry::Global().NamesForDisplay(", ").c_str());
-        return 2;
-      }
-      options.corpus.inference.learner = value;
-    } else if (GetFlag(arg, "noise", &value)) {
-      if (!ParseCountFlag(
-              "noise", value, 0,
-              &options.corpus.inference.noise_symbol_threshold)) {
-        return 2;
-      }
-      options.corpus.inference.idtd.noise_edge_threshold =
-          options.corpus.inference.noise_symbol_threshold;
-    } else if (arg == "--lenient") {
-      options.corpus.inference.lenient_xml = true;
     } else if (arg == "--stats") {
       stats.mode = StatsReporter::Mode::kText;
     } else if (GetFlag(arg, "stats", &value)) {
