@@ -7,8 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
+#include "automaton/soa.h"
 #include "automaton/two_t_inf.h"
 #include "baseline/trang_like.h"
 #include "crx/crx.h"
@@ -116,6 +118,26 @@ BENCHMARK(BM_Idtd_ScalesWithAlphabet)
     ->Arg(10)
     ->Arg(20)
     ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
+
+// The sparse end of the same trade-off: the SOA of the chain
+// a1 a2? a3 a4? ... over n symbols. Every node has at most three
+// neighbors, so the cost is in how the GFA stores and scans its rows,
+// not in how many edges there are (a bitset-row design lost here).
+void BM_Idtd_OptionalChain(benchmark::State& state) {
+  std::vector<ReRef> terms;
+  for (Symbol s = 0; s < state.range(0); ++s) {
+    terms.push_back(s % 2 == 0 ? Re::Sym(s) : Re::Opt(Re::Sym(s)));
+  }
+  const Soa soa = SoaFromRegex(Re::Concat(std::move(terms)));
+  for (auto _ : state) {
+    Result<ReRef> re = IdtdFromSoa(soa);
+    benchmark::DoNotOptimize(re.ok());
+  }
+}
+BENCHMARK(BM_Idtd_OptionalChain)
+    ->Arg(200)
+    ->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,10 +6,29 @@
 
 namespace condtd {
 
+namespace {
+
+/// Position of `to` in the sorted out-row, or where it would go.
+template <typename Row>
+auto FindOut(Row& row, int to) {
+  return std::lower_bound(
+      row.begin(), row.end(), to,
+      [](const Gfa::OutEdge& edge, int node) { return edge.to < node; });
+}
+
+/// Removes `x` from the sorted row, if present.
+void EraseSorted(std::vector<int>& row, int x) {
+  auto it = std::lower_bound(row.begin(), row.end(), x);
+  if (it != row.end() && *it == x) row.erase(it);
+}
+
+}  // namespace
+
 Gfa::Gfa() {
   // Node 0 = source, node 1 = sink.
   labels_.resize(2);
   alive_.assign(2, true);
+  nullable_.assign(2, false);
   out_.resize(2);
   in_.resize(2);
 }
@@ -30,63 +49,97 @@ Gfa Gfa::FromSoa(const Soa& soa) {
   for (int q : by_symbol) {
     node_of[q] = gfa.AddNode(Re::Sym(soa.LabelOf(q)));
   }
+  // Every edge is distinct, so the rows are filled directly: each
+  // out-row sorted once, the in-rows by transposing in ascending order.
+  std::vector<OutEdge>& from_source = gfa.out_[gfa.source()];
   for (int q : soa.Initials()) {
-    gfa.AddEdge(gfa.source(), node_of[q], soa.InitialSupport(q));
+    from_source.push_back({node_of[q], soa.InitialSupport(q)});
   }
   if (soa.accepts_empty()) {
     // The empty word appears as a direct source→sink edge; the optional
     // rule consumes it when the target SORE is nullable.
-    gfa.AddEdge(gfa.source(), gfa.sink(),
-                std::max(soa.empty_support(), 1));
-  }
-  for (int q : soa.Finals()) {
-    gfa.AddEdge(node_of[q], gfa.sink(), soa.FinalSupport(q));
+    from_source.push_back({gfa.sink(), std::max(soa.empty_support(), 1)});
   }
   for (int q = 0; q < soa.NumStates(); ++q) {
+    std::vector<OutEdge>& row = gfa.out_[node_of[q]];
     for (int to : soa.Successors(q)) {
-      gfa.AddEdge(node_of[q], node_of[to], soa.EdgeSupport(q, to));
+      row.push_back({node_of[to], soa.EdgeSupport(q, to)});
     }
+    if (soa.IsFinal(q)) row.push_back({gfa.sink(), soa.FinalSupport(q)});
+  }
+  for (int u = 0; u < static_cast<int>(gfa.out_.size()); ++u) {
+    std::vector<OutEdge>& row = gfa.out_[u];
+    std::sort(row.begin(), row.end(),
+              [](const OutEdge& a, const OutEdge& b) { return a.to < b.to; });
+    for (const OutEdge& edge : row) gfa.in_[edge.to].push_back(u);
   }
   return gfa;
 }
 
 int Gfa::AddNode(ReRef label) {
   int id = static_cast<int>(labels_.size());
+  nullable_.push_back(Nullable(label));
   labels_.push_back(std::move(label));
   alive_.push_back(true);
   out_.emplace_back();
   in_.emplace_back();
+  closure_valid_ = false;
   return id;
 }
 
 void Gfa::RemoveNode(int v) {
-  for (int to : std::vector<int>(out_[v].begin(), out_[v].end())) {
-    RemoveEdge(v, to);
+  for (const OutEdge& edge : out_[v]) {
+    if (edge.to != v) EraseSorted(in_[edge.to], v);
   }
-  for (int from : std::vector<int>(in_[v].begin(), in_[v].end())) {
-    RemoveEdge(from, v);
+  for (int from : in_[v]) {
+    if (from == v) continue;
+    std::vector<OutEdge>& row = out_[from];
+    row.erase(FindOut(row, v));
   }
+  out_[v].clear();
+  in_[v].clear();
   alive_[v] = false;
   labels_[v] = nullptr;
+  nullable_[v] = false;
+  closure_valid_ = false;
 }
 
-void Gfa::AddEdge(int u, int v, int support) {
-  out_[u].insert(v);
-  in_[v].insert(u);
-  support_[{u, v}] += support;
+void Gfa::AddEdge(int u, int v, int64_t support) {
+  std::vector<OutEdge>& row = out_[u];
+  auto it = FindOut(row, v);
+  if (it != row.end() && it->to == v) {
+    it->support += support;  // same edge set, same closure
+    return;
+  }
+  row.insert(it, OutEdge{v, support});
+  std::vector<int>& in = in_[v];
+  in.insert(std::lower_bound(in.begin(), in.end(), u), u);
+  closure_valid_ = false;
 }
 
 void Gfa::RemoveEdge(int u, int v) {
-  out_[u].erase(v);
-  in_[v].erase(u);
-  support_.erase({u, v});
+  std::vector<OutEdge>& row = out_[u];
+  auto it = FindOut(row, v);
+  if (it == row.end() || it->to != v) return;
+  row.erase(it);
+  EraseSorted(in_[v], u);
+  closure_valid_ = false;
 }
 
-bool Gfa::HasEdge(int u, int v) const { return out_[u].count(v) > 0; }
+bool Gfa::HasEdge(int u, int v) const {
+  auto it = FindOut(out_[u], v);
+  return it != out_[u].end() && it->to == v;
+}
 
-int Gfa::EdgeSupport(int u, int v) const {
-  auto it = support_.find({u, v});
-  return it == support_.end() ? 0 : it->second;
+int64_t Gfa::EdgeSupport(int u, int v) const {
+  auto it = FindOut(out_[u], v);
+  return it != out_[u].end() && it->to == v ? it->support : 0;
+}
+
+void Gfa::SetLabel(int v, ReRef label) {
+  nullable_[v] = Nullable(label);
+  labels_[v] = std::move(label);
+  closure_valid_ = false;
 }
 
 std::vector<int> Gfa::LiveNodes() const {
@@ -108,11 +161,10 @@ int Gfa::NumEdges() const {
 }
 
 std::vector<int> Gfa::Out(int v) const {
-  return std::vector<int>(out_[v].begin(), out_[v].end());
-}
-
-std::vector<int> Gfa::In(int v) const {
-  return std::vector<int>(in_[v].begin(), in_[v].end());
+  std::vector<int> targets;
+  targets.reserve(out_[v].size());
+  for (const OutEdge& edge : out_[v]) targets.push_back(edge.to);
+  return targets;
 }
 
 bool Gfa::IsFinal() const {
@@ -125,11 +177,6 @@ bool Gfa::IsFinal() const {
 
 ReRef Gfa::FinalExpression() const { return labels_[LiveNodes()[0]]; }
 
-bool Gfa::NodeNullable(int v) const {
-  if (labels_[v] == nullptr) return false;
-  return Nullable(labels_[v]);
-}
-
 bool Gfa::HasVirtualSelfLoop(int v) const {
   const ReRef& label = labels_[v];
   if (label == nullptr) return false;
@@ -141,50 +188,59 @@ bool Gfa::HasVirtualSelfLoop(int v) const {
           label->child()->kind() == ReKind::kStar);
 }
 
-Gfa::Closure Gfa::ComputeClosure() const {
-  Closure closure;
-  int n = static_cast<int>(labels_.size());
-  closure.pred.resize(n);
-  closure.succ.resize(n);
-  std::vector<char> nullable(n);
-  for (int v = 0; v < n; ++v) nullable[v] = NodeNullable(v);
+const Gfa::Closure& Gfa::closure() {
+  if (!closure_valid_) RebuildClosure();
+  return closure_;
+}
 
-  // visited[w] == u marks w as already in succ[u]; one buffer serves
-  // every row.
-  std::vector<int> visited(n, -1);
+void Gfa::RebuildClosure() {
+  const int n = static_cast<int>(labels_.size());
+  // Rows keep their capacity from the last build; only nodes added since
+  // then get new ones.
+  closure_.succ.resize(n);
+  closure_.pred.resize(n);
+  for (int v = 0; v < n; ++v) {
+    closure_.succ[v].clear();
+    closure_.pred[v].clear();
+  }
+  visited_.assign(n, -1);
   for (int u = 0; u < n; ++u) {
     if (!alive_[u]) continue;
     // Rule (ii) incl. direct edges: BFS that only continues through
     // nullable intermediate nodes. The row doubles as the BFS queue.
-    std::vector<int>& row = closure.succ[u];
-    auto visit = [&](int w) {
-      if (visited[w] != u) {
-        visited[w] = u;
-        row.push_back(w);
-      }
-    };
-    for (int to : out_[u]) visit(to);
-    for (size_t i = 0; i < row.size(); ++i) {
-      int w = row[i];
-      if (!nullable[w]) continue;
-      for (int to : out_[w]) visit(to);
+    std::vector<int>& row = closure_.succ[u];
+    for (const OutEdge& edge : out_[u]) {
+      visited_[edge.to] = u;
+      row.push_back(edge.to);
     }
+    const size_t direct = row.size();
+    for (size_t i = 0; i < row.size(); ++i) {
+      const int w = row[i];
+      if (!nullable_[w]) continue;
+      for (const OutEdge& edge : out_[w]) {
+        if (visited_[edge.to] != u) {
+          visited_[edge.to] = u;
+          row.push_back(edge.to);
+        }
+      }
+    }
+    // The direct edges arrive sorted; only a search that crossed a
+    // nullable node appends out of order.
+    if (row.size() > direct) std::sort(row.begin(), row.end());
     // Rule (i): virtual self-loop for s+ / (s+)? labels.
-    if (HasVirtualSelfLoop(u)) visit(u);
-    std::sort(row.begin(), row.end());
+    if (visited_[u] != u && HasVirtualSelfLoop(u)) {
+      row.insert(std::lower_bound(row.begin(), row.end(), u), u);
+    }
   }
   // Transposing in ascending u leaves every pred row sorted.
   for (int u = 0; u < n; ++u) {
-    for (int v : closure.succ[u]) closure.pred[v].push_back(u);
+    for (int v : closure_.succ[u]) closure_.pred[v].push_back(u);
   }
-  return closure;
+  closure_valid_ = true;
 }
 
 bool Gfa::SameAs(const Gfa& other) const {
-  if (alive_ != other.alive_ || out_ != other.out_ ||
-      support_ != other.support_) {
-    return false;
-  }
+  if (alive_ != other.alive_ || out_ != other.out_) return false;
   for (size_t v = 0; v < labels_.size(); ++v) {
     const ReRef& a = labels_[v];
     const ReRef& b = other.labels_[v];
@@ -211,12 +267,12 @@ std::string Gfa::ToString(const Alphabet& alphabet) const {
               condtd::ToString(labels_[v], alphabet);
     }
     text += " ->";
-    for (int to : out_[v]) {
+    for (const OutEdge& edge : out_[v]) {
       text += ' ';
-      if (to == sink()) {
+      if (edge.to == sink()) {
         text += "snk";
       } else {
-        text += std::to_string(to);
+        text += std::to_string(edge.to);
       }
     }
     text += '\n';

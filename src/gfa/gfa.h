@@ -2,8 +2,7 @@
 #define CONDTD_GFA_GFA_H_
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +20,22 @@ namespace condtd {
 /// label — which all rewrite/repair rules preserve.
 ///
 /// Removed (merged) nodes stay allocated but dead, so node ids are stable
-/// across rule applications.
+/// across rule applications. Adjacency is kept in flat rows sorted by
+/// node id: per node, its out-edges with their supports and its
+/// in-neighbors.
 class Gfa {
  public:
+  /// A real edge out of a node. Supports are 64-bit: merging edges sums
+  /// them, and a sum of n SOA supports (each 32-bit) cannot overflow.
+  struct OutEdge {
+    int to;
+    int64_t support;
+
+    bool operator==(const OutEdge& other) const {
+      return to == other.to && support == other.support;
+    }
+  };
+
   Gfa();
 
   /// Builds the GFA of an SOA: one node per state labeled by its symbol;
@@ -39,23 +51,30 @@ class Gfa {
   /// Marks `v` dead and removes all its edges.
   void RemoveNode(int v);
 
-  void AddEdge(int u, int v, int support = 1);
+  /// Adds the edge, or adds `support` to an existing one.
+  void AddEdge(int u, int v, int64_t support = 1);
   void RemoveEdge(int u, int v);
   bool HasEdge(int u, int v) const;
-  int EdgeSupport(int u, int v) const;
+  /// 0 when there is no edge (u, v).
+  int64_t EdgeSupport(int u, int v) const;
 
   bool IsAlive(int v) const { return alive_[v]; }
   const ReRef& Label(int v) const { return labels_[v]; }
-  void SetLabel(int v, ReRef label) { labels_[v] = std::move(label); }
+  void SetLabel(int v, ReRef label);
 
   /// Live internal nodes (source/sink excluded), ascending id.
   std::vector<int> LiveNodes() const;
   int NumLiveNodes() const;
   int NumEdges() const;
 
-  /// Real out-/in-neighbors, ascending (source/sink included).
+  /// Real out-edges of `v`, ascending target. The reference is valid
+  /// until the next AddNode.
+  const std::vector<OutEdge>& OutEdges(int v) const { return out_[v]; }
+  /// Real out-neighbors, ascending (source/sink included).
   std::vector<int> Out(int v) const;
-  std::vector<int> In(int v) const;
+  /// Real in-neighbors, ascending. The reference is valid until the next
+  /// AddNode.
+  const std::vector<int>& In(int v) const { return in_[v]; }
   int OutDegree(int v) const { return static_cast<int>(out_[v].size()); }
   int InDegree(int v) const { return static_cast<int>(in_[v].size()); }
 
@@ -79,10 +98,16 @@ class Gfa {
       return std::binary_search(succ[u].begin(), succ[u].end(), v);
     }
   };
-  Closure ComputeClosure() const;
+  /// E* of the current automaton. It is rebuilt, into the rows the last
+  /// build left, on the first call after an AddNode, RemoveNode or
+  /// SetLabel, or an AddEdge or RemoveEdge that changes the edge set;
+  /// other calls return the cached rows. A change leaves the rows as
+  /// they were, so a rule may keep reading the closure it decided on
+  /// while it rewrites the automaton.
+  const Closure& closure();
 
   /// ε ∈ L(label(v))? Source/sink count as non-nullable.
-  bool NodeNullable(int v) const;
+  bool NodeNullable(int v) const { return nullable_[v]; }
 
   /// Rule (i) of the closure: label has shape s+, (s+)? or s*.
   bool HasVirtualSelfLoop(int v) const;
@@ -96,12 +121,18 @@ class Gfa {
   std::string ToString(const Alphabet& alphabet) const;
 
  private:
-  std::vector<ReRef> labels_;   // null for source/sink
+  void RebuildClosure();
+
+  std::vector<ReRef> labels_;  // null for source/sink
   std::vector<bool> alive_;
-  std::vector<std::set<int>> out_;
-  std::vector<std::set<int>> in_;
-  // Support of edge (u, v); edges merged onto one another accumulate.
-  std::map<std::pair<int, int>, int> support_;
+  std::vector<char> nullable_;  // Nullable(label), false for source/sink
+  std::vector<std::vector<OutEdge>> out_;
+  std::vector<std::vector<int>> in_;
+
+  Closure closure_;
+  bool closure_valid_ = false;
+  // visited_[w] == u marks w as already in closure_.succ[u].
+  std::vector<int> visited_;
 };
 
 }  // namespace condtd

@@ -1,7 +1,9 @@
 #include "gfa/rewrite.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "automaton/two_t_inf.h"
@@ -32,16 +34,16 @@ void MergeChain(Gfa* gfa, const std::vector<int>& chain) {
   labels.reserve(chain.size());
   for (int v : chain) labels.push_back(gfa->Label(v));
   const bool wrap = gfa->HasEdge(last, first);
-  const int wrap_support = wrap ? gfa->EdgeSupport(last, first) : 0;
+  const int64_t wrap_support = gfa->EdgeSupport(last, first);
 
   int merged = gfa->AddNode(Re::Concat(std::move(labels)));
   for (int from : gfa->In(first)) {
     if (from == last) continue;  // becomes the self edge
     gfa->AddEdge(from, merged, gfa->EdgeSupport(from, first));
   }
-  for (int to : gfa->Out(last)) {
-    if (to == first) continue;
-    gfa->AddEdge(merged, to, gfa->EdgeSupport(last, to));
+  for (const Gfa::OutEdge& edge : gfa->OutEdges(last)) {
+    if (edge.to == first) continue;
+    gfa->AddEdge(merged, edge.to, edge.support);
   }
   if (wrap) gfa->AddEdge(merged, merged, wrap_support);
   for (int v : chain) gfa->RemoveNode(v);
@@ -57,7 +59,7 @@ bool ApplyConcatenationRule(Gfa* gfa) {
   std::map<int, int> prev;
   for (int u : gfa->LiveNodes()) {
     if (gfa->OutDegree(u) != 1) continue;
-    int v = gfa->Out(u)[0];
+    int v = gfa->OutEdges(u)[0].to;
     if (v == gfa->sink() || v == u || !gfa->IsAlive(v)) continue;
     if (gfa->InDegree(v) != 1) continue;
     next[u] = v;
@@ -120,14 +122,16 @@ bool ApplyDisjunctionRule(Gfa* gfa) {
   // completely unconnected (case i) is decided from the closure; a
   // one-sided connection blocks the merge. Larger candidate sets are
   // reached by merging pairwise to a fixpoint.
-  Gfa::Closure closure = gfa->ComputeClosure();
+  const Gfa::Closure& closure = gfa->closure();
   std::vector<int> live = gfa->LiveNodes();
   for (size_t i = 0; i < live.size(); ++i) {
     for (size_t j = i + 1; j < live.size(); ++j) {
       int u = live[i];
       int v = live[j];
-      if (!EqualExcluding(closure.pred[u], closure.pred[v], u, v)) continue;
+      // Successors first: on a wide union the members' predecessor rows
+      // agree for most of their length, their successor rows part early.
       if (!EqualExcluding(closure.succ[u], closure.succ[v], u, v)) continue;
+      if (!EqualExcluding(closure.pred[u], closure.pred[v], u, v)) continue;
       bool uv = closure.Connects(u, v);
       bool vu = closure.Connects(v, u);
       bool uu = closure.Connects(u, u);
@@ -135,7 +139,7 @@ bool ApplyDisjunctionRule(Gfa* gfa) {
       bool mutually = uv && vu && uu && vv;  // case (ii), incl. self pairs
       if (!mutually && (uv || vu)) continue;  // one-sided: no rule applies
 
-      int internal_support = 0;
+      int64_t internal_support = 0;
       int merged =
           gfa->AddNode(NormalizeNoStar(Re::Disj({gfa->Label(u),
                                                  gfa->Label(v)})));
@@ -147,13 +151,13 @@ bool ApplyDisjunctionRule(Gfa* gfa) {
           }
           gfa->AddEdge(from, merged, gfa->EdgeSupport(from, w));
         }
-        for (int to : gfa->Out(w)) {
-          if (to == u || to == v) continue;  // counted above
-          gfa->AddEdge(merged, to, gfa->EdgeSupport(w, to));
+        for (const Gfa::OutEdge& edge : gfa->OutEdges(w)) {
+          if (edge.to == u || edge.to == v) continue;  // counted above
+          gfa->AddEdge(merged, edge.to, edge.support);
         }
       }
       if (mutually) {
-        gfa->AddEdge(merged, merged, std::max(internal_support, 1));
+        gfa->AddEdge(merged, merged, std::max<int64_t>(internal_support, 1));
       }
       gfa->RemoveNode(u);
       gfa->RemoveNode(v);
@@ -170,15 +174,17 @@ bool ApplyRedundantSkipEdgeRule(Gfa* gfa) {
   // edges appear when merges produce nullable labels; without this rule
   // the ε edge source→sink can never be consumed once the last node's
   // label is already nullable.
-  Gfa::Closure closure = gfa->ComputeClosure();
+  const Gfa::Closure& closure = gfa->closure();
   std::vector<int> nodes = gfa->LiveNodes();
   nodes.push_back(gfa->source());
   for (int p : nodes) {
-    for (int s : gfa->Out(p)) {
+    for (const Gfa::OutEdge& skip : gfa->OutEdges(p)) {
+      const int s = skip.to;
       // Is s reachable from p through a nullable intermediate? The
       // closure records paths including direct edges, so probe the
       // two-step decomposition explicitly.
-      for (int w : gfa->Out(p)) {
+      for (const Gfa::OutEdge& step : gfa->OutEdges(p)) {
+        const int w = step.to;
         if (w == s || w == p || !gfa->IsAlive(w) || !gfa->NodeNullable(w)) {
           continue;
         }
@@ -193,7 +199,7 @@ bool ApplyRedundantSkipEdgeRule(Gfa* gfa) {
 }
 
 bool ApplyOptionalRule(Gfa* gfa) {
-  Gfa::Closure closure = gfa->ComputeClosure();
+  const Gfa::Closure& closure = gfa->closure();
   for (int r : gfa->LiveNodes()) {
     if (gfa->NodeNullable(r)) continue;  // r? would be superfluous
     const std::vector<int>& preds = closure.pred[r];

@@ -1,6 +1,7 @@
 #include "idtd/idtd.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <set>
@@ -28,8 +29,8 @@ bool FullyConnected(const Gfa& gfa) {
   while (!q.empty()) {
     int u = q.front();
     q.pop();
-    for (int v : gfa.Out(u)) {
-      if (reach.insert(v).second) q.push(v);
+    for (const Gfa::OutEdge& edge : gfa.OutEdges(u)) {
+      if (reach.insert(edge.to).second) q.push(edge.to);
     }
   }
   std::set<int> coreach;
@@ -52,7 +53,7 @@ bool FullyConnected(const Gfa& gfa) {
 /// threshold whose removal keeps the automaton connected.
 bool TryRemoveNoisyEdge(Gfa* gfa, int threshold) {
   struct Candidate {
-    int support;
+    int64_t support;
     int from;
     int to;
   };
@@ -60,9 +61,10 @@ bool TryRemoveNoisyEdge(Gfa* gfa, int threshold) {
   std::vector<int> nodes = gfa->LiveNodes();
   nodes.push_back(gfa->source());
   for (int u : nodes) {
-    for (int v : gfa->Out(u)) {
-      int support = gfa->EdgeSupport(u, v);
-      if (support < threshold) candidates.push_back({support, u, v});
+    for (const Gfa::OutEdge& edge : gfa->OutEdges(u)) {
+      if (edge.support < threshold) {
+        candidates.push_back({edge.support, u, edge.to});
+      }
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -72,10 +74,9 @@ bool TryRemoveNoisyEdge(Gfa* gfa, int threshold) {
               return a.to < b.to;
             });
   for (const Candidate& c : candidates) {
-    int support = gfa->EdgeSupport(c.from, c.to);
     gfa->RemoveEdge(c.from, c.to);
     if (FullyConnected(*gfa)) return true;
-    gfa->AddEdge(c.from, c.to, support);  // undo
+    gfa->AddEdge(c.from, c.to, c.support);  // undo
   }
   return false;
 }
@@ -83,10 +84,11 @@ bool TryRemoveNoisyEdge(Gfa* gfa, int threshold) {
 }  // namespace
 
 Result<ReRef> IdtdFromSoa(const Soa& input, const IdtdOptions& options) {
-  Soa soa = options.noise_symbol_threshold > 0
-                ? PruneSoaByStateSupport(input,
-                                         options.noise_symbol_threshold)
-                : input;
+  Soa pruned;
+  if (options.noise_symbol_threshold > 0) {
+    pruned = PruneSoaByStateSupport(input, options.noise_symbol_threshold);
+  }
+  const Soa& soa = options.noise_symbol_threshold > 0 ? pruned : input;
   if (soa.NumStates() == 0) {
     return Status::FailedPrecondition(
         "iDTD: the SOA has no states (language is empty or {ε})");

@@ -72,7 +72,7 @@ std::set<std::pair<int, int>> EqualizationEdges(const Gfa& gfa, int u,
 }  // namespace
 
 bool EnableDisjunction(Gfa* gfa, int k) {
-  Gfa::Closure closure = gfa->ComputeClosure();
+  const Gfa::Closure& closure = gfa->closure();
   std::vector<int> live = gfa->LiveNodes();
   // Mutually connected pairs (precondition (b)) carry direct evidence of
   // a disjunction class and are preferred over merely similar pairs
@@ -118,7 +118,7 @@ bool EnableDisjunction(Gfa* gfa, int k) {
 }
 
 bool EnableOptional(Gfa* gfa, int k) {
-  Gfa::Closure closure = gfa->ComputeClosure();
+  const Gfa::Closure& closure = gfa->closure();
   // Candidates with real skip evidence (precondition (a)) are preferred
   // over structural guesses (precondition (b)).
   int best_cost_a = std::numeric_limits<int>::max();

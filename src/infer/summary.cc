@@ -369,6 +369,16 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       *out = static_cast<int32_t>(wide);
       return Status::OK();
     };
+    // Every line can be in range and the running total still leave its
+    // type: two lines for one count, or a count the store already holds.
+    // `held` and `added` are non-negative.
+    auto fits = [&](int64_t held, int64_t added, int64_t limit) {
+      if (added <= limit - held) return Status::OK();
+      return Status::ParseError("state line " + std::to_string(i + 1) +
+                                ": count " + std::to_string(added) +
+                                " overflows the total " +
+                                std::to_string(held) + " it adds to");
+    };
     if (tag == "end") {
       CONDTD_RETURN_IF_ERROR(close_section());
       saw_end = true;
@@ -378,7 +388,9 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       CONDTD_RETURN_IF_ERROR(require(3));
       int64_t count;
       CONDTD_RETURN_IF_ERROR(count64(fields[2], &count));
-      root_counts_[alphabet->Intern(fields[1])] += count;
+      int64_t& total = root_counts_[alphabet->Intern(fields[1])];
+      CONDTD_RETURN_IF_ERROR(fits(total, count, INT64_MAX));
+      total += count;
       continue;
     }
     if (tag == "child") {
@@ -392,6 +404,8 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       int64_t occurrences;
       CONDTD_RETURN_IF_ERROR(count64(fields[2], &occurrences));
       current = &Ensure(alphabet->Intern(fields[1]));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->occurrences, occurrences, INT64_MAX));
       current->occurrences += occurrences;
       current->has_text = current->has_text || fields[3] == "1";
       // A version-1 file cannot carry the reservoir, so summaries loaded
@@ -419,7 +433,9 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       CONDTD_RETURN_IF_ERROR(require(3));
       int64_t count;
       CONDTD_RETURN_IF_ERROR(count64(fields[2], &count));
-      current->attribute_counts[fields[1]] += count;
+      int64_t& total = current->attribute_counts[fields[1]];
+      CONDTD_RETURN_IF_ERROR(fits(total, count, INT64_MAX));
+      total += count;
     } else if (tag == "text") {
       CONDTD_RETURN_IF_ERROR(require(2));
       if (static_cast<int>(current->text_samples.size()) <
@@ -431,19 +447,25 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       int32_t support;
       CONDTD_RETURN_IF_ERROR(count32(fields[2], &support));
       int q = current->soa.AddState(alphabet->Intern(fields[1]));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->soa.StateSupport(q), support, INT32_MAX));
       current->soa.AddStateSupport(q, support);
     } else if (tag == "soa.init") {
       CONDTD_RETURN_IF_ERROR(require(3));
       int32_t support;
       CONDTD_RETURN_IF_ERROR(count32(fields[2], &support));
-      current->soa.AddInitial(
-          current->soa.AddState(alphabet->Intern(fields[1])), support);
+      int q = current->soa.AddState(alphabet->Intern(fields[1]));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->soa.InitialSupport(q), support, INT32_MAX));
+      current->soa.AddInitial(q, support);
     } else if (tag == "soa.final") {
       CONDTD_RETURN_IF_ERROR(require(3));
       int32_t support;
       CONDTD_RETURN_IF_ERROR(count32(fields[2], &support));
-      current->soa.AddFinal(
-          current->soa.AddState(alphabet->Intern(fields[1])), support);
+      int q = current->soa.AddState(alphabet->Intern(fields[1]));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->soa.FinalSupport(q), support, INT32_MAX));
+      current->soa.AddFinal(q, support);
     } else if (tag == "soa.edge") {
       CONDTD_RETURN_IF_ERROR(require(4));
       int32_t support;
@@ -451,12 +473,17 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       Symbol from = alphabet->Intern(fields[1]);
       Symbol to = alphabet->Intern(fields[2]);
       soa_edge_lines.try_emplace({from, to}, i + 1);
-      current->soa.AddEdge(current->soa.AddState(from),
-                           current->soa.AddState(to), support);
+      int q = current->soa.AddState(from);
+      int r = current->soa.AddState(to);
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->soa.EdgeSupport(q, r), support, INT32_MAX));
+      current->soa.AddEdge(q, r, support);
     } else if (tag == "soa.empty") {
       CONDTD_RETURN_IF_ERROR(require(2));
       int32_t support;
       CONDTD_RETURN_IF_ERROR(count32(fields[1], &support));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->soa.empty_support(), support, INT32_MAX));
       current->soa.set_accepts_empty(true);
       current->soa.add_empty_support(support);
     } else if (tag == "crx.edge") {
@@ -467,6 +494,8 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       CONDTD_RETURN_IF_ERROR(require(2));
       int64_t count;
       CONDTD_RETURN_IF_ERROR(count64(fields[1], &count));
+      // num_words() sums every CRX count, so it bounds each of them.
+      CONDTD_RETURN_IF_ERROR(fits(current->crx.num_words(), count, INT64_MAX));
       current->crx.RestoreEmpty(count);
     } else if (tag == "crx.hist") {
       if (fields.size() < 2) {
@@ -474,6 +503,8 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
                                   ": malformed histogram");
       }
       CrxState::Histogram histogram;
+      // The words' length; CRX and the XSD bounds sum its parts in int.
+      int64_t length = 0;
       for (size_t f = 2; f < fields.size(); ++f) {
         size_t eq = fields[f].rfind('=');
         if (eq == std::string::npos) {
@@ -482,11 +513,15 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
         }
         int32_t n;
         CONDTD_RETURN_IF_ERROR(count32(fields[f].substr(eq + 1), &n));
+        CONDTD_RETURN_IF_ERROR(fits(length, n, INT32_MAX));
+        length += n;
         histogram.emplace_back(alphabet->Intern(fields[f].substr(0, eq)), n);
       }
       std::sort(histogram.begin(), histogram.end());
       int64_t hist_count;
       CONDTD_RETURN_IF_ERROR(count64(fields[1], &hist_count));
+      CONDTD_RETURN_IF_ERROR(
+          fits(current->crx.num_words(), hist_count, INT64_MAX));
       current->crx.RestoreHistogram(histogram, hist_count);
     } else if (tag == "word") {
       if (limits_.max_retained_words > 0 && !current->words_overflowed) {

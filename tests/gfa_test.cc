@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
@@ -64,6 +65,11 @@ TEST(Gfa, EdgeSupportAccumulates) {
   EXPECT_EQ(gfa.EdgeSupport(gfa.source(), n), 7);
   gfa.RemoveEdge(gfa.source(), n);
   EXPECT_EQ(gfa.EdgeSupport(gfa.source(), n), 0);
+  // Two in-range SOA supports merged onto one edge leave the 32-bit
+  // range; the sum is kept exactly.
+  gfa.AddEdge(n, gfa.sink(), INT32_MAX);
+  gfa.AddEdge(n, gfa.sink(), INT32_MAX);
+  EXPECT_EQ(gfa.EdgeSupport(n, gfa.sink()), int64_t{2} * INT32_MAX);
 }
 
 // --- ε-closure ----------------------------------------------------------------
@@ -95,7 +101,7 @@ TEST(GfaClosure, PathsThroughNullableIntermediates) {
   gfa.AddEdge(x, y);
   gfa.AddEdge(y, z);
   gfa.AddEdge(z, gfa.sink());
-  Gfa::Closure closure = gfa.ComputeClosure();
+  const Gfa::Closure& closure = gfa.closure();
   EXPECT_TRUE(closure.Connects(x, z));
   EXPECT_TRUE(std::binary_search(closure.pred[z].begin(),
                                  closure.pred[z].end(), x));
@@ -114,7 +120,7 @@ TEST(GfaClosure, ChainsOfNullables) {
   gfa.AddEdge(a, b);
   gfa.AddEdge(b, c);
   gfa.AddEdge(c, gfa.sink());
-  Gfa::Closure closure = gfa.ComputeClosure();
+  const Gfa::Closure& closure = gfa.closure();
   // src reaches c through two nullable hops.
   EXPECT_TRUE(closure.Connects(gfa.source(), c));
 }
@@ -134,6 +140,50 @@ std::vector<int> NaiveClosureRow(const Gfa& gfa, int u) {
   return std::vector<int>(reached.begin(), reached.end());
 }
 
+/// Compares every closure row of `gfa`, whose node ids are 0..ids-1,
+/// with the naive one.
+void ExpectClosureMatchesNaive(Gfa* gfa, int ids) {
+  const Gfa::Closure& closure = gfa->closure();
+  ASSERT_EQ(static_cast<int>(closure.succ.size()), ids);
+  ASSERT_EQ(static_cast<int>(closure.pred.size()), ids);
+  std::vector<std::vector<int>> naive_pred(ids);
+  for (int u = 0; u < ids; ++u) {
+    std::vector<int> row;
+    if (gfa->IsAlive(u)) row = NaiveClosureRow(*gfa, u);
+    EXPECT_EQ(closure.succ[u], row) << "succ of " << u;
+    for (int v : row) naive_pred[v].push_back(u);
+  }
+  for (int v = 0; v < ids; ++v) {
+    EXPECT_EQ(closure.pred[v], naive_pred[v]) << "pred of " << v;
+  }
+  // Strictly ascending rows: sorted, no duplicates.
+  for (const auto* lists : {&closure.succ, &closure.pred}) {
+    for (const std::vector<int>& row : *lists) {
+      EXPECT_EQ(std::adjacent_find(row.begin(), row.end(),
+                                   std::greater_equal<int>()),
+                row.end());
+    }
+  }
+}
+
+/// A plain, nullable, s+, (s+)? or nullable-concatenation label over
+/// `symbol` (and `symbol` + 1000).
+ReRef RandomLabel(Symbol symbol, Rng* rng) {
+  ReRef sym = Re::Sym(symbol);
+  switch (rng->NextBelow(5)) {
+    case 0:
+      return sym;
+    case 1:
+      return Re::Opt(sym);
+    case 2:
+      return Re::Plus(sym);
+    case 3:
+      return Re::Opt(Re::Plus(sym));
+    default:
+      return Re::Concat({Re::Opt(sym), Re::Star(Re::Sym(symbol + 1000))});
+  }
+}
+
 TEST(GfaClosure, MatchesNaiveReachabilityOnRandomGfas) {
   Rng rng(20061018);
   for (int trial = 0; trial < 12; ++trial) {
@@ -142,28 +192,9 @@ TEST(GfaClosure, MatchesNaiveReachabilityOnRandomGfas) {
     Gfa gfa;
     const int internal = 130 + static_cast<int>(rng.NextBelow(40));
     for (int i = 0; i < internal; ++i) {
-      ReRef sym = Re::Sym(static_cast<Symbol>(i));
-      switch (rng.NextBelow(5)) {
-        case 0:
-          gfa.AddNode(sym);
-          break;
-        case 1:
-          gfa.AddNode(Re::Opt(sym));
-          break;
-        case 2:
-          gfa.AddNode(Re::Plus(sym));
-          break;
-        case 3:
-          gfa.AddNode(Re::Opt(Re::Plus(sym)));
-          break;
-        default:
-          gfa.AddNode(Re::Concat(
-              {Re::Opt(sym), Re::Star(Re::Sym(static_cast<Symbol>(
-                                 internal + i)))}));
-          break;
-      }
+      gfa.AddNode(RandomLabel(static_cast<Symbol>(i), &rng));
     }
-    const int ids = internal + 2;
+    int ids = internal + 2;
     for (int u = 0; u < ids; ++u) {
       if (u == gfa.sink()) continue;
       int degree = 1 + static_cast<int>(rng.NextBelow(3));
@@ -175,27 +206,61 @@ TEST(GfaClosure, MatchesNaiveReachabilityOnRandomGfas) {
     for (int v : gfa.LiveNodes()) {
       if (rng.Bernoulli(0.15)) gfa.RemoveNode(v);
     }
+    ExpectClosureMatchesNaive(&gfa, ids);
 
-    Gfa::Closure closure = gfa.ComputeClosure();
-    ASSERT_EQ(static_cast<int>(closure.succ.size()), ids);
-    ASSERT_EQ(static_cast<int>(closure.pred.size()), ids);
-    std::vector<std::vector<int>> naive_pred(ids);
-    for (int u = 0; u < ids; ++u) {
-      std::vector<int> row;
-      if (gfa.IsAlive(u)) row = NaiveClosureRow(gfa, u);
-      EXPECT_EQ(closure.succ[u], row) << "succ of " << u;
-      for (int v : row) naive_pred[v].push_back(u);
-    }
-    for (int v = 0; v < ids; ++v) {
-      EXPECT_EQ(closure.pred[v], naive_pred[v]) << "pred of " << v;
-    }
-    // Strictly ascending rows: sorted, no duplicates.
-    for (const auto* rows : {&closure.succ, &closure.pred}) {
-      for (const std::vector<int>& row : *rows) {
-        EXPECT_EQ(std::adjacent_find(row.begin(), row.end(),
-                                     std::greater_equal<int>()),
-                  row.end());
+    // Mutate and re-read the cached closure after every step: a change
+    // that fails to invalidate the cache leaves a stale row behind.
+    Symbol next_symbol = static_cast<Symbol>(internal);
+    for (int step = 0; step < 40; ++step) {
+      std::vector<int> live = gfa.LiveNodes();
+      std::vector<int> sources = live;
+      sources.push_back(gfa.source());
+      std::vector<int> targets = live;
+      targets.push_back(gfa.sink());
+      const int u = sources[rng.NextBelow(sources.size())];
+      const int v = targets[rng.NextBelow(targets.size())];
+      switch (rng.NextBelow(6)) {
+        case 0: {
+          int w = gfa.AddNode(RandomLabel(next_symbol++, &rng));
+          ++ids;
+          gfa.AddEdge(u, w);
+          gfa.AddEdge(w, v);
+          break;
+        }
+        case 1:
+          if (gfa.OutDegree(u) > 0) {
+            // Onto an existing edge: the support grows, E* stays.
+            const Gfa::OutEdge edge = gfa.OutEdges(u)[0];
+            gfa.AddEdge(u, edge.to, 2);
+            EXPECT_EQ(gfa.EdgeSupport(u, edge.to), edge.support + 2);
+          }
+          break;
+        case 2:
+          gfa.AddEdge(u, v);
+          break;
+        case 3:
+          if (gfa.OutDegree(u) > 0) {
+            const std::vector<int> out = gfa.Out(u);
+            gfa.RemoveEdge(u, out[rng.NextBelow(out.size())]);
+          }
+          break;
+        case 4:
+          if (live.size() > 1) {
+            gfa.RemoveNode(live[rng.NextBelow(live.size())]);
+          }
+          break;
+        default:
+          if (!live.empty()) {
+            // To and from nullable and s+ labels.
+            int w = live[rng.NextBelow(live.size())];
+            gfa.SetLabel(w, RandomLabel(next_symbol++, &rng));
+          }
+          break;
       }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " +
+                   std::to_string(step));
+      ExpectClosureMatchesNaive(&gfa, ids);
+      if (::testing::Test::HasFailure()) return;
     }
   }
 }

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automaton/two_t_inf.h"
+#include "base/file.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "gen/corpus.h"
 #include "gen/random_regex.h"
 #include "gen/regex_sampler.h"
@@ -270,7 +273,9 @@ Result<ReRef> BudgetedIdtd(const Soa& soa, const IdtdOptions& options,
   return Normalize(gfa.FinalExpression());
 }
 
-TEST(Idtd, JumpGivesTheBudgetedLoopsResult) {
+/// The SOAs both the jump test and the golden test run on: subsampled
+/// random SOREs, dense random SOAs, and Table 1/2 subsamples.
+std::vector<Soa> RepairStressSoas() {
   std::vector<Soa> soas;
   Rng rng(20061016);
   // Subsampled random SOREs.
@@ -306,13 +311,29 @@ TEST(Idtd, JumpGivesTheBudgetedLoopsResult) {
       soas.push_back(Infer2T(ReservoirSample(c.sample, size, &rng)));
     }
   }
+  return soas;
+}
 
+/// The paper implementation's iDTD variant: k = 2, no full merge.
+IdtdOptions RestrictedOptions() {
   IdtdOptions restricted;
   restricted.initial_k = 2;
   restricted.max_k = 2;
   restricted.enable_full_merge_fallback = false;
+  return restricted;
+}
+
+/// Names for the symbols of RepairStressSoas.
+Alphabet StressNames() {
   Alphabet names;
   for (int s = 0; s < 256; ++s) names.Intern("s" + std::to_string(s));
+  return names;
+}
+
+TEST(Idtd, JumpGivesTheBudgetedLoopsResult) {
+  std::vector<Soa> soas = RepairStressSoas();
+  IdtdOptions restricted = RestrictedOptions();
+  Alphabet names = StressNames();
   int budget_exits = 0;
   int compared = 0;
   for (const Soa& soa : soas) {
@@ -336,6 +357,52 @@ TEST(Idtd, JumpGivesTheBudgetedLoopsResult) {
   }
   // Without inputs that spin to the budget the jump goes unexercised.
   EXPECT_GT(budget_exits, 10) << "of " << compared << " runs";
+}
+
+// iDTD under the default, restricted and edge-noise options, and plain
+// rewrite, over RepairStressSoas: one line per run, compared with
+// tests/data/idtd_rewrite_golden.txt. The file pins the learners' bytes
+// across changes to the GFA and its rules. On a mismatch the actual text
+// is written under the test's temporary directory.
+TEST(Idtd, StressResultsMatchTheGoldenFile) {
+  IdtdOptions noisy;
+  noisy.noise_edge_threshold = 3;
+  const std::vector<std::pair<std::string, IdtdOptions>> runs = {
+      {"idtd", IdtdOptions{}}, {"restricted", RestrictedOptions()},
+      {"noise3", noisy}};
+  Alphabet names = StressNames();
+  auto render = [&](const Result<ReRef>& result) {
+    return result.ok() ? ToString(result.value(), names)
+                       : result.status().ToString();
+  };
+  std::string actual;
+  std::vector<Soa> soas = RepairStressSoas();
+  for (size_t i = 0; i < soas.size(); ++i) {
+    if (soas[i].NumStates() == 0) continue;
+    const std::string prefix = std::to_string(i) + " ";
+    for (const auto& [name, options] : runs) {
+      actual += prefix + name + " " +
+                render(IdtdFromSoa(soas[i], options)) + "\n";
+    }
+    actual += prefix + "rewrite " + render(RewriteSoaToSore(soas[i])) + "\n";
+  }
+  const std::string path =
+      std::string(CONDTD_TEST_DATA_DIR) + "/idtd_rewrite_golden.txt";
+  Result<std::string> expected = ReadFileToString(path);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  if (actual == expected.value()) return;
+  const std::string dump = ::testing::TempDir() + "/idtd_rewrite_golden.txt";
+  ASSERT_TRUE(WriteStringToFile(dump, actual).ok());
+  std::vector<std::string> want = SplitString(expected.value(), '\n');
+  std::vector<std::string> got = SplitString(actual, '\n');
+  size_t line = 0;
+  while (line < want.size() && line < got.size() && want[line] == got[line]) {
+    ++line;
+  }
+  FAIL() << "line " << line + 1 << " differs from " << path << "\n  want: "
+         << (line < want.size() ? want[line] : "<end>")
+         << "\n  got:  " << (line < got.size() ? got[line] : "<end>")
+         << "\nactual text written to " << dump;
 }
 
 TEST(Idtd, EmptySoaFails) {

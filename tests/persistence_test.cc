@@ -408,6 +408,117 @@ TEST(StatePersistence, RejectsNonNumericAndOverflowingCounts) {
   }
 }
 
+TEST(StatePersistence, RejectsCountsWhoseSumsOverflow) {
+  // Each line is in range on its own; the sum on the named line is not.
+  const std::string max32 = "2147483647";
+  const std::string max64 = "9223372036854775807";
+  const std::string head = "condtd-state 2\nelement e 1 0\n";
+  struct Case {
+    const char* kind;
+    std::string state;
+    int line;
+  };
+  const Case cases[] = {
+      {"root", "condtd-state 2\nroot e " + max64 + "\nroot e 1\nend\n", 3},
+      {"element",
+       "condtd-state 2\nelement e " + max64 + " 0\nelement e 1 0\nend\n", 3},
+      {"attr", head + "attr id " + max64 + "\nattr id 1\nend\n", 4},
+      {"soa.state", head + "soa.state x " + max32 + "\nsoa.state x 1\nend\n",
+       4},
+      {"soa.init", head + "soa.init x " + max32 + "\nsoa.init x 1\nend\n", 4},
+      {"soa.final", head + "soa.final x " + max32 + "\nsoa.final x 1\nend\n",
+       4},
+      {"soa.edge",
+       head + "soa.edge x x " + max32 + "\nsoa.edge x x " + max32 +
+           "\ncrx.edge x x\nend\n",
+       4},
+      {"soa.empty", head + "soa.empty " + max32 + "\nsoa.empty 1\nend\n", 4},
+      {"crx.empty", head + "crx.empty " + max64 + "\ncrx.empty 1\nend\n", 4},
+      {"crx.hist",
+       head + "crx.hist " + max64 + " x=1\ncrx.hist " + max64 + " x=1\nend\n",
+       4},
+      // Different histograms: only the section's word total overflows.
+      {"crx.hist total",
+       head + "crx.hist " + max64 + " x=1\ncrx.hist 1 y=1\nend\n", 4},
+      // One histogram whose words are longer than int32.
+      {"crx.hist length", head + "crx.hist 1 x=" + max32 + " y=1\nend\n",
+       3},
+  };
+  for (const Case& c : cases) {
+    SummaryStore store;
+    Alphabet alphabet;
+    Status status = store.Load(c.state, &alphabet);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << c.kind;
+    EXPECT_NE(status.ToString().find("state line " + std::to_string(c.line) +
+                                     ": count "),
+              std::string::npos)
+        << c.kind << ": " << status.ToString();
+    EXPECT_NE(status.ToString().find("overflows"), std::string::npos)
+        << c.kind << ": " << status.ToString();
+  }
+}
+
+TEST(StatePersistence, RejectsSumsWithTheCountsAlreadyInTheStore) {
+  DtdInferrer inferrer;
+  ASSERT_TRUE(inferrer.AddXml("<e><x/></e>").ok());
+  // One more e word on top of the one folded.
+  Status status = inferrer.LoadState(
+      "condtd-state 2\nelement e 1 0\ncrx.hist 9223372036854775807 x=1\n"
+      "end\n");
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.ToString().find("state line 3: count"), std::string::npos)
+      << status.ToString();
+
+  SummaryStore store;
+  Alphabet alphabet;
+  ASSERT_TRUE(
+      store.Load("condtd-state 2\nelement e 1 0\nsoa.init x 2147483647\nend\n",
+                 &alphabet)
+          .ok());
+  status = store.Load("condtd-state 2\nelement e 1 0\nsoa.init x 1\nend\n",
+                      &alphabet);
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.ToString().find("state line 3: count"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(StatePersistence, IdtdLearnsMergedEdgesWhoseSupportsLeave32Bits) {
+  // a and b share pred x and succ y, so the disjunction rule merges
+  // them and sums x→a and x→b onto one edge: 2 * INT32_MAX.
+  DtdInferrer inferrer{[] {
+    InferenceOptions options;
+    options.learner = "idtd";
+    return options;
+  }()};
+  ASSERT_TRUE(inferrer
+                  .LoadState("condtd-state 2\n"
+                             "element e 2 0\n"
+                             "soa.state x 2\n"
+                             "soa.state a 1\n"
+                             "soa.state b 1\n"
+                             "soa.state y 2\n"
+                             "soa.init x 2\n"
+                             "soa.final y 2\n"
+                             "soa.edge x a 2147483647\n"
+                             "soa.edge x b 2147483647\n"
+                             "soa.edge a y 1\n"
+                             "soa.edge b y 1\n"
+                             "crx.edge x a\n"
+                             "crx.edge x b\n"
+                             "crx.edge a y\n"
+                             "crx.edge b y\n"
+                             "crx.hist 1 a=1 x=1 y=1\n"
+                             "crx.hist 1 b=1 x=1 y=1\n"
+                             "end\n")
+                  .ok());
+  Result<Dtd> dtd = inferrer.InferDtd();
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  EXPECT_NE(WriteDtd(dtd.value(), *inferrer.alphabet())
+                .find("<!ELEMENT e (x, (a | b), y)>"),
+            std::string::npos)
+      << WriteDtd(dtd.value(), *inferrer.alphabet());
+}
+
 TEST(StatePersistence, DuplicateElementSectionsMerge) {
   SummaryStore store;
   Alphabet alphabet;
