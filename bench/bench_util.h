@@ -29,7 +29,9 @@ inline std::vector<std::string> DocumentsFromCase(const ExperimentCase& c,
   for (int i = 0; i < count; ++i) {
     std::string xml = "<" + root + ">";
     for (Symbol s : c.sample[i]) {
-      xml += "<" + std::string(c.alphabet.Name(s)) + "/>";
+      xml += '<';
+      xml += c.alphabet.Name(s);
+      xml += "/>";
     }
     xml += "</" + root + ">";
     documents.push_back(std::move(xml));

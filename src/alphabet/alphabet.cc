@@ -1,6 +1,7 @@
 #include "alphabet/alphabet.h"
 
 #include "base/mem_estimate.h"
+#include "base/strings.h"
 
 namespace condtd {
 
@@ -28,7 +29,7 @@ Symbol Alphabet::Find(std::string_view name) const {
 
 std::string Alphabet::NameOrPlaceholder(Symbol symbol) const {
   if (symbol >= 0 && symbol < size()) return names_[symbol];
-  return "#" + std::to_string(symbol);
+  return Numbered("#", symbol);
 }
 
 Word Alphabet::WordFromChars(std::string_view text) {

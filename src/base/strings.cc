@@ -77,4 +77,10 @@ bool ParseInt32(std::string_view text, int32_t* out) {
   return true;
 }
 
+std::string Numbered(std::string_view prefix, int64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace condtd

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "base/strings.h"
 #include "regex/matcher.h"
 #include "regex/properties.h"
 
@@ -105,7 +106,7 @@ ReRef StripTrailing(const ReRef& re) {
 std::string Key(const ReRef& re) {
   switch (re->kind()) {
     case ReKind::kSymbol:
-      return "s" + std::to_string(re->symbol());
+      return Numbered("s", re->symbol());
     case ReKind::kConcat: {
       std::string out = "C(";
       for (const auto& c : re->children()) out += Key(c) + ",";

@@ -507,14 +507,16 @@ OracleResult CheckOneJobEngine(const std::vector<std::string>& documents,
   for (size_t d = first; d < documents.size(); ++d) {
     engine.AddXml(documents[d]);
     if (d < broken.size() && !broken[d].empty()) {
-      want_errors += " " + std::to_string(engine.documents_added());
+      want_errors += ' ';
+      want_errors += std::to_string(engine.documents_added());
       engine.AddXml(broken[d]);
     }
   }
   (void)engine.Finish();  // fails exactly when a broken document ran
   std::string got_errors;
   for (const IngestEngine::DocumentError& error : engine.errors()) {
-    got_errors += " " + std::to_string(error.doc_index);
+    got_errors += ' ';
+    got_errors += std::to_string(error.doc_index);
   }
   if (got_errors != want_errors) {
     return OracleResult::Fail(label + " reported failed documents [" +

@@ -258,15 +258,20 @@ Result<ReRef> CrxState::Infer(const Soa& soa,
   for (int q = 0; q < soa.NumStates(); ++q) symbols.push_back(soa.LabelOf(q));
   std::sort(symbols.begin(), symbols.end());
   // Section 9 noise handling: exclude symbols below the support
-  // threshold (total occurrences across the sample).
+  // threshold (total occurrences across the sample). A support is only
+  // compared with the threshold, so it saturates there: n * count alone
+  // can leave int64 on a state Load accepts.
   if (min_symbol_support > 0) {
     std::vector<int64_t> support(symbols.size(), 0);
     ForEachHistogram([&](HistogramView histogram, int64_t count) {
       for (const auto& [sym, n] : histogram) {
         auto it = std::lower_bound(symbols.begin(), symbols.end(), sym);
-        if (it != symbols.end() && *it == sym) {
-          support[it - symbols.begin()] += static_cast<int64_t>(n) * count;
-        }
+        if (it == symbols.end() || *it != sym || n <= 0) continue;
+        int64_t& total = support[it - symbols.begin()];
+        const int64_t missing = min_symbol_support - total;
+        if (missing <= 0) continue;
+        total = count >= (missing + n - 1) / n ? min_symbol_support
+                                                : total + n * count;
       }
     });
     size_t kept = 0;

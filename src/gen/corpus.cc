@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "base/strings.h"
 #include "gen/regex_sampler.h"
 #include "gen/representative.h"
 #include "regex/parser.h"
@@ -15,7 +16,7 @@ std::string UnionRange(int first, int last) {
   std::string out = "(";
   for (int i = first; i <= last; ++i) {
     if (i > first) out += " | ";
-    out += "a" + std::to_string(i);
+    out += Numbered("a", i);
   }
   out += ")";
   return out;
@@ -34,7 +35,7 @@ ExperimentCase MakeCase(std::string name, const std::string& original,
   c.name = std::move(name);
   // Intern a1..a64 first so symbol ids follow the natural index order in
   // every case regardless of the order names appear in the expressions.
-  for (int i = 1; i <= 64; ++i) c.alphabet.Intern("a" + std::to_string(i));
+  for (int i = 1; i <= 64; ++i) c.alphabet.Intern(Numbered("a", i));
   c.original = MustParse(original, &c.alphabet);
   c.observed = MustParse(observed, &c.alphabet);
   c.sample_size = sample_size;
@@ -175,10 +176,10 @@ ExperimentCase BuildNoisyParagraphCase(int num_words, int num_noisy_words,
   std::string re = "(";
   for (int i = 1; i <= 41; ++i) {
     if (i > 1) re += " | ";
-    re += "a" + std::to_string(i);
+    re += Numbered("a", i);
   }
   re += ")*";
-  for (int i = 1; i <= 41; ++i) c.alphabet.Intern("a" + std::to_string(i));
+  for (int i = 1; i <= 41; ++i) c.alphabet.Intern(Numbered("a", i));
   c.original = MustParse(re, &c.alphabet);
   c.observed = c.original;
   c.sample_size = num_words;
@@ -216,12 +217,12 @@ ExperimentCase BuildRepeatedDisjunctionCase(int n, int sample_size,
   std::string re = "(";
   for (int i = 1; i <= n; ++i) {
     if (i > 1) re += " | ";
-    re += "a" + std::to_string(i);
+    re += Numbered("a", i);
   }
   re += ")*";
   ExperimentCase c;
   c.name = "union" + std::to_string(n) + "_star";
-  for (int i = 1; i <= n; ++i) c.alphabet.Intern("a" + std::to_string(i));
+  for (int i = 1; i <= n; ++i) c.alphabet.Intern(Numbered("a", i));
   c.original = MustParse(re, &c.alphabet);
   c.observed = c.original;
   c.sample_size = sample_size;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
+
 namespace condtd {
 
 Dtd RandomDtd(Alphabet* alphabet, Rng* rng,
@@ -13,7 +15,7 @@ Dtd RandomDtd(Alphabet* alphabet, Rng* rng,
   std::vector<Symbol> symbols;
   symbols.reserve(n);
   for (int i = 0; i < n; ++i) {
-    symbols.push_back(alphabet->Intern("e" + std::to_string(i)));
+    symbols.push_back(alphabet->Intern(Numbered("e", i)));
   }
   Dtd dtd;
   dtd.root = symbols[0];

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "base/strings.h"
+
 namespace condtd {
 
 namespace {
@@ -121,8 +123,8 @@ class Generator {
     if (it == dtd_.attributes.end()) return;
     for (const auto& def : it->second) {
       if (def.default_decl == "#REQUIRED" || rng_->Bernoulli(0.5)) {
-        element->AddAttribute(def.name,
-                              "v" + std::to_string(rng_->NextBelow(100)));
+        const auto value = static_cast<int64_t>(rng_->NextBelow(100));
+        element->AddAttribute(def.name, Numbered("v", value));
       }
     }
   }

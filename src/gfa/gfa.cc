@@ -263,8 +263,10 @@ std::string Gfa::ToString(const Alphabet& alphabet) const {
     } else if (static_cast<int>(v) == sink()) {
       text += "snk";
     } else {
-      text += "[" + std::to_string(v) + "] " +
-              condtd::ToString(labels_[v], alphabet);
+      text += '[';
+      text += std::to_string(v);
+      text += "] ";
+      text += condtd::ToString(labels_[v], alphabet);
     }
     text += " ->";
     for (const OutEdge& edge : out_[v]) {

@@ -53,11 +53,14 @@ Status DtdInferrer::AddXml(std::string_view xml) {
 
 void DtdInferrer::AddWords(Symbol element, const std::vector<Word>& words) {
   ElementSummary& summary = store_.Ensure(element);
+  FoldTally tally;
   for (const Word& word : words) {
     ++summary.occurrences;
     summary.AddChildWord(word, 1, store_.limits());
+    tally.Count(word, 1);
     for (Symbol s : word) store_.MarkSeenAsChild(s);
   }
+  tally.Publish();
 }
 
 void DtdInferrer::MergeFrom(const DtdInferrer& other) {

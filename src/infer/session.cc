@@ -106,10 +106,17 @@ void IngestSession::RestoreCounterFloors(int64_t documents, int64_t failed,
 
 size_t IngestSession::ApproxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = inferrer_.summaries().ApproxBytes() +
+  size_t bytes = bytes_memo_.ApproxBytes(inferrer_.summaries()) +
                  inferrer_.alphabet().ApproxBytes();
   bytes += folder_.cache_bytes_resident();
   return bytes;
+}
+
+void IngestSession::Inspect(
+    const std::function<void(const DtdInferrer&, const StreamingFolder&)>&
+        read) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  read(inferrer_, folder_);
 }
 
 }  // namespace condtd

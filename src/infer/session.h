@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -125,15 +126,26 @@ class IngestSession {
   }
 
   /// Rough resident bytes of the retained state (summaries + alphabet +
-  /// dedup cache). Thread-safe; O(elements). Backs the daemon's
-  /// per-corpus `condtd_corpus_bytes` gauge and memory cap.
+  /// dedup cache). Thread-safe. Re-measures only the summaries written
+  /// since the last call (StoreBytesMemo), so the daemon's per-corpus
+  /// `condtd_corpus_bytes` gauge and memory cap cost each INGEST the
+  /// elements it touched, not a walk of the whole state.
   size_t ApproxBytes() const;
+
+  /// Calls `read` with the session's inferrer and fold under the
+  /// session lock: the state as it stands, unflushed, for checks the
+  /// snapshot API cannot make (tests/serve_test.cc holds ApproxBytes to
+  /// a full walk through it).
+  void Inspect(const std::function<void(const DtdInferrer&,
+                                        const StreamingFolder&)>& read) const;
 
  private:
   InferenceOptions options_;
   mutable std::mutex mu_;
   DtdInferrer inferrer_;
   StreamingFolder folder_;
+  /// ApproxBytes's per-summary memo; guarded by mu_.
+  mutable StoreBytesMemo bytes_memo_;
   std::atomic<int64_t> epoch_{0};
   std::atomic<int64_t> documents_{0};
   std::atomic<int64_t> failed_{0};

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "automaton/two_t_inf.h"
 #include "base/strings.h"
 #include "obs/metrics.h"
 #include "xml/sax.h"
@@ -17,7 +18,10 @@ StreamingFolder::StreamingFolder(DtdInferrer* inferrer, Options options)
       store_(&inferrer->summaries()),
       options_(options) {}
 
-StreamingFolder::~StreamingFolder() { Flush(); }
+StreamingFolder::~StreamingFolder() {
+  Flush();
+  PublishCounters();
+}
 
 ElementSummary* StreamingFolder::FindState(Symbol symbol) {
   size_t index = static_cast<size_t>(symbol);
@@ -67,7 +71,6 @@ void StreamingFolder::HandleText(std::string_view text) {
 void StreamingFolder::CompleteTop() {
   Frame& frame = stack_[depth_ - 1];
   ++words_folded_;
-  obs::CounterAdd(obs::Counter::kWordsFolded, 1);
   // Dense per-document occurrence aggregation: sum occurrences and
   // has_text per symbol; only samples and attribute-bearing occurrences
   // stage a per-occurrence record.
@@ -96,10 +99,8 @@ void StreamingFolder::CompleteTop() {
                     static_cast<uint32_t>(frame.word.size()));
   if (result.inserted) {
     ++dedup_misses_;
-    obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
   } else {
     ++dedup_hits_;
-    obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
   }
   ++cache_.entry(result.index).count;
   word_journal_.push_back(result.index);
@@ -119,6 +120,7 @@ void StreamingFolder::StageContext(const Frame& frame) {
 
 void StreamingFolder::CommitContexts() {
   const SummaryLimits& limits = store_->limits();
+  FoldTally tally;
   for (const ContextRecord& record : doc_contexts_) {
     auto [it, inserted] =
         contexts_->try_emplace({record.symbol, record.parent});
@@ -130,9 +132,11 @@ void StreamingFolder::CommitContexts() {
     const Symbol* word = context_symbols_.data() + record.word_first;
     flush_word_.assign(word, word + record.word_length);
     summary.AddChildWord(flush_word_, 1, limits);
+    tally.Count(flush_word_, 1);
     if (record.has_text) summary.has_text = true;
     CountAttributes(record.attr_first, record.attr_count, &summary);
   }
+  tally.Publish();
 }
 
 void StreamingFolder::CountAttributes(uint32_t first, uint32_t count,
@@ -183,9 +187,6 @@ void StreamingFolder::CommitDocument() {
   if (obs::StatsEnabled()) {
     obs::GaugeMax(obs::Gauge::kDedupCacheBytesPeak,
                   static_cast<int64_t>(cache_bytes_resident()));
-    obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
-                  cache_.probe_steps() - probe_steps_published_);
-    probe_steps_published_ = cache_.probe_steps();
   }
   if (static_cast<size_t>(distinct_words_cached()) >=
       options_.max_distinct_words) {
@@ -194,7 +195,32 @@ void StreamingFolder::CommitDocument() {
   ResetDocument();
 }
 
+void StreamingFolder::PublishCounters() {
+  lexer_.PublishCounters();
+  if (words_folded_ != published_.words_folded) {
+    obs::CounterAdd(obs::Counter::kWordsFolded,
+                    words_folded_ - published_.words_folded);
+  }
+  if (dedup_hits_ != published_.dedup_hits) {
+    obs::SchedAdd(obs::SchedCounter::kDedupHits,
+                  dedup_hits_ - published_.dedup_hits);
+  }
+  if (dedup_misses_ != published_.dedup_misses) {
+    obs::SchedAdd(obs::SchedCounter::kDedupMisses,
+                  dedup_misses_ - published_.dedup_misses);
+  }
+  if (cache_.probe_steps() != published_.probe_steps) {
+    obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
+                  cache_.probe_steps() - published_.probe_steps);
+  }
+  published_ = {words_folded_, dedup_hits_, dedup_misses_,
+                cache_.probe_steps()};
+}
+
 void StreamingFolder::ResetDocument() {
+  // Every way a document ends — commit, rejection, lexer error, an
+  // aborted throw — comes through here, so this publishes its counts.
+  PublishCounters();
   // Roll back this document's cache increments (no-op after a commit,
   // which clears the journal first). Zero-count entries stay resident —
   // Flush() skips them — so no erase is needed here.
@@ -220,29 +246,57 @@ void StreamingFolder::ResetDocument() {
   doc_new_children_.clear();
 }
 
-void StreamingFolder::FoldWeighted(Symbol element, const Word& word,
-                                   int64_t count) {
-  EnsureState(element).AddChildWord(word, count, store_->limits());
-  store_->MarkChanged(element);
-  ++weighted_folds_;
-}
-
 void StreamingFolder::Flush() {
   if (cache_.empty()) return;
+  obs::StageSpan span(obs::Stage::kWordFold);
   ++dedup_flushes_;
   obs::SchedAdd(obs::SchedCounter::kDedupFlushes, 1);
   // Entries iterate in insertion order == first-occurrence order == the
   // order the reference fold first folds each distinct word, keeping SOA
-  // state numbering (and SaveState text) pinned to it.
-  for (const FlatWordCache::Entry& entry : cache_.entries()) {
-    // Zero-count entries are rolled-back first occurrences from a
-    // failed document; folding them would create an ElementSummary the
-    // reference fold never would.
-    if (entry.count <= 0) continue;
+  // state numbering (and SaveState text) pinned to it. Zero-count
+  // entries are rolled-back first occurrences from a failed document;
+  // folding them would create an ElementSummary the reference fold
+  // never would.
+  //
+  // The batch folds one structure at a time — CRX, then the SOA, then
+  // versions and the reservoir — under one span per structure instead
+  // of three per word. Each structure still sees every element's words
+  // in that order, so no byte moves; CRX first keeps the batch's peak
+  // RSS lowest (EXPERIMENTS.md, E22).
+  const std::vector<FlatWordCache::Entry>& entries = cache_.entries();
+  auto word_of = [this](const FlatWordCache::Entry& entry) -> const Word& {
     flush_word_.assign(entry.word, entry.word + entry.length);
-    FoldWeighted(entry.element, flush_word_, entry.count);
-    obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, 1);
+    return flush_word_;
+  };
+  {
+    obs::StageSpan crx_span(obs::Stage::kCrxFold);
+    for (const FlatWordCache::Entry& entry : entries) {
+      if (entry.count <= 0) continue;
+      EnsureState(entry.element).crx.AddWord(word_of(entry), entry.count);
+    }
   }
+  {
+    obs::StageSpan soa_span(obs::Stage::kTwoTInf);
+    for (const FlatWordCache::Entry& entry : entries) {
+      if (entry.count <= 0) continue;
+      Fold2T(word_of(entry), &EnsureState(entry.element).soa, entry.count);
+    }
+  }
+  const SummaryLimits& limits = store_->limits();
+  FoldTally tally;
+  int64_t folds = 0;
+  for (const FlatWordCache::Entry& entry : entries) {
+    if (entry.count <= 0) continue;
+    store_->MarkChanged(entry.element);
+    if (limits.max_retained_words > 0) {
+      EnsureState(entry.element).RetainWord(word_of(entry), limits);
+    }
+    tally.Count({entry.word, entry.length}, entry.count);
+    ++folds;
+  }
+  weighted_folds_ += folds;
+  tally.Publish();
+  obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, folds);
   cache_.Clear();
 }
 

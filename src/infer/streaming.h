@@ -38,12 +38,17 @@ using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
 ///
 /// Word-multiset deduplication: real corpora repeat the same child
 /// sequence thousands of times, so completed words are hash-consed into
-/// a multiplicity cache and applied as weighted folds
-/// (`ElementSummary::AddChildWord` with a count) instead of being
-/// replayed — `Flush()` (idempotent, also run by the destructor) drains
-/// the cache, and must happen before the inferrer's summaries are read.
-/// The weighted folds are exact, so flush timing never changes the
-/// inferred DTD. The cache is a `FlatWordCache` (open addressing,
+/// a multiplicity cache and applied as weighted folds (CRX's and
+/// 2T-INF's fold with a count) instead of being replayed — `Flush()`
+/// (idempotent, also run by the destructor) drains the cache, and must
+/// happen before the inferrer's summaries are read. The weighted folds
+/// are exact, so flush timing never changes the inferred DTD.
+///
+/// Metrics cost the fold per document and per flush, not per event: a
+/// flush times its whole batch (one `word_fold` span holding one
+/// `crx_fold` and one `two_t_inf` span), and the word, dedup and lexer
+/// counts are tallied in plain members and published when a document
+/// ends, however it ends. The cache is a `FlatWordCache` (open addressing,
 /// arena-backed keys); each open frame carries a running `WordHash`
 /// updated as child symbols append, so the end-tag commit is a single
 /// table probe with no full-word rehash.
@@ -187,7 +192,9 @@ class StreamingFolder {
   void CountAttributes(uint32_t first, uint32_t count,
                        ElementSummary* summary);
   void ResetDocument();
-  void FoldWeighted(Symbol element, const Word& word, int64_t count);
+  /// Adds this folder's and its lexer's counts since the last call to
+  /// the obs registry: once per document, not once per event.
+  void PublishCounters();
 
   DtdInferrer* inferrer_;
   SummaryStore* store_;
@@ -251,8 +258,15 @@ class StreamingFolder {
   int64_t dedup_hits_ = 0;
   int64_t dedup_misses_ = 0;
   int64_t dedup_flushes_ = 0;
-  /// probe_steps() already published to obs (delta reported per commit).
-  int64_t probe_steps_published_ = 0;
+  /// The counters above, and the cache's probe_steps(), as
+  /// PublishCounters last reported them.
+  struct Published {
+    int64_t words_folded = 0;
+    int64_t dedup_hits = 0;
+    int64_t dedup_misses = 0;
+    int64_t probe_steps = 0;
+  };
+  Published published_;
 };
 
 }  // namespace condtd

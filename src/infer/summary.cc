@@ -14,29 +14,13 @@ namespace condtd {
 
 void ElementSummary::AddChildWord(const Word& word, int64_t multiplicity,
                                   const SummaryLimits& limits) {
-  obs::StageSpan span(obs::Stage::kWordFold);
-  obs::CounterAdd(obs::Counter::kChildWordFolds, multiplicity);
-  if (obs::StatsEnabled() && !word.empty()) {
-    Symbol min_symbol = word[0];
-    Symbol max_symbol = word[0];
-    for (Symbol s : word) {
-      min_symbol = std::min(min_symbol, s);
-      max_symbol = std::max(max_symbol, s);
-    }
-    if (min_symbol >= 0 && max_symbol < kDenseFoldWindow) {
-      obs::SchedAdd(obs::SchedCounter::kDenseFoldHits, 1);
-    } else {
-      obs::SchedAdd(obs::SchedCounter::kDenseFoldFallbacks, 1);
-    }
-  }
-  {
-    obs::StageSpan inf_span(obs::Stage::kTwoTInf);
-    Fold2T(word, &soa, multiplicity);
-  }
-  {
-    obs::StageSpan crx_span(obs::Stage::kCrxFold);
-    crx.AddWord(word, multiplicity);
-  }
+  Fold2T(word, &soa, multiplicity);
+  crx.AddWord(word, multiplicity);
+  RetainWord(word, limits);
+}
+
+void ElementSummary::RetainWord(const Word& word,
+                                const SummaryLimits& limits) {
   if (limits.max_retained_words > 0 && !words_overflowed) {
     auto [it, inserted] = retained_words.insert(word);
     if (inserted && static_cast<int>(retained_words.size()) >
@@ -44,6 +28,30 @@ void ElementSummary::AddChildWord(const Word& word, int64_t multiplicity,
       retained_words.erase(it);
       words_overflowed = true;
     }
+  }
+}
+
+void FoldTally::Count(std::span<const Symbol> word, int64_t multiplicity) {
+  if (!obs::StatsEnabled()) return;
+  child_word_folds += multiplicity;
+  if (word.empty()) return;
+  auto [min_symbol, max_symbol] = std::minmax_element(word.begin(), word.end());
+  if (*min_symbol >= 0 && *max_symbol < kDenseFoldWindow) {
+    ++dense_hits;
+  } else {
+    ++dense_fallbacks;
+  }
+}
+
+void FoldTally::Publish() const {
+  if (child_word_folds != 0) {
+    obs::CounterAdd(obs::Counter::kChildWordFolds, child_word_folds);
+  }
+  if (dense_hits != 0) {
+    obs::SchedAdd(obs::SchedCounter::kDenseFoldHits, dense_hits);
+  }
+  if (dense_fallbacks != 0) {
+    obs::SchedAdd(obs::SchedCounter::kDenseFoldFallbacks, dense_fallbacks);
   }
 }
 
@@ -208,7 +216,7 @@ std::string UnescapeText(const std::string& text) {
 
 std::string SummaryStore::Save(const Alphabet& alphabet) const {
   std::string out = "condtd-state 2\n";
-  auto name = [&](Symbol s) { return alphabet.Name(s); };
+  auto name = [&](Symbol s) -> const std::string& { return alphabet.Name(s); };
   for (const auto& [symbol, count] : root_counts_) {
     out += "root " + name(symbol) + " " + std::to_string(count) + "\n";
   }
@@ -258,17 +266,23 @@ std::string SummaryStore::Save(const Alphabet& alphabet) const {
     for (const auto& [histogram, count] : crx.SortedHistograms()) {
       out += "crx.hist " + std::to_string(count);
       for (const auto& [sym, n] : histogram) {
-        out += " " + name(sym) + "=" + std::to_string(n);
+        out += ' ';
+        out += name(sym);
+        out += '=';
+        out += std::to_string(n);
       }
-      out += "\n";
+      out += '\n';
     }
     // Distinct-word reservoir (version 2): sorted, so the rendering is
     // canonical. ε is the bare "word" line. An element with no word
     // lines and no flag simply has an empty (complete) reservoir.
     for (const Word& word : summary.retained_words) {
       out += "word";
-      for (Symbol s : word) out += " " + name(s);
-      out += "\n";
+      for (Symbol s : word) {
+        out += ' ';
+        out += name(s);
+      }
+      out += '\n';
     }
     if (summary.words_overflowed) out += "words.overflowed\n";
     if (!summary.words_complete) out += "words.incomplete\n";
@@ -571,14 +585,32 @@ size_t ElementSummary::ApproxBytes() const {
 }
 
 size_t SummaryStore::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += TreeBytes(elements_) + TreeBytes(root_counts_) +
-           VectorBytes(seen_as_child_) + VectorBytes(versions_);
+  size_t bytes = OwnBytes();
   for (const auto& [symbol, summary] : elements_) {
     (void)symbol;
     bytes += summary.ApproxBytes();
   }
   return bytes;
+}
+
+size_t SummaryStore::OwnBytes() const {
+  return sizeof(*this) + TreeBytes(elements_) + TreeBytes(root_counts_) +
+         VectorBytes(seen_as_child_) + VectorBytes(versions_);
+}
+
+size_t StoreBytesMemo::ApproxBytes(const SummaryStore& store) {
+  for (const auto& [symbol, summary] : store.elements()) {
+    const uint64_t version = store.version(symbol);
+    const size_t index = static_cast<size_t>(symbol);
+    if (index >= measured_.size()) measured_.resize(index + 1, {0, 0});
+    auto& [measured_version, bytes] = measured_[index];
+    if (measured_version == version) continue;
+    summaries_bytes_ -= bytes;
+    bytes = summary.ApproxBytes();
+    summaries_bytes_ += bytes;
+    measured_version = version;
+  }
+  return store.OwnBytes() + summaries_bytes_;
 }
 
 }  // namespace condtd

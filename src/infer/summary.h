@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "alphabet/alphabet.h"
@@ -76,9 +78,13 @@ struct ElementSummary {
   /// histograms and the word reservoir (multiplicity-invariant). Does
   /// NOT touch `occurrences` — occurrence accounting belongs to the
   /// ingestion drivers, which count at element-open or document-commit
-  /// time while words fold at end-tag or cache-flush time.
+  /// time while words fold at end-tag or cache-flush time. Records no
+  /// metrics: callers count their folds in a `FoldTally`.
   void AddChildWord(const Word& word, int64_t multiplicity,
                     const SummaryLimits& limits);
+
+  /// The reservoir step of AddChildWord.
+  void RetainWord(const Word& word, const SummaryLimits& limits);
 
   /// Appends a text sample if the cap allows.
   void AddTextSample(std::string sample, const SummaryLimits& limits);
@@ -96,6 +102,21 @@ struct ElementSummary {
   /// attribute counts + word reservoir; see base/mem_estimate.h for the
   /// estimation contract).
   size_t ApproxBytes() const;
+};
+
+/// What a batch of child-word folds adds to the obs registry: the
+/// folds weighted by multiplicity (`child_word_folds`) and, per word,
+/// whether the dense kernels could take it (`dense_fold_hits` /
+/// `dense_fold_fallbacks`; ε is neither). A folding loop counts into
+/// one and publishes it once, so a fold pays no atomic add per word.
+struct FoldTally {
+  int64_t child_word_folds = 0;
+  int64_t dense_hits = 0;
+  int64_t dense_fallbacks = 0;
+
+  /// Counts one fold; a no-op while stats are off.
+  void Count(std::span<const Symbol> word, int64_t multiplicity);
+  void Publish() const;
 };
 
 /// The unified store of retained summaries: per-element ElementSummary
@@ -176,11 +197,12 @@ class SummaryStore {
   Status Load(std::string_view serialized, Alphabet* alphabet);
 
   /// Rough resident bytes of the whole store: the sum of the per-element
-  /// summaries plus the store's own maps. O(elements + retained data);
-  /// the serve daemon reports this as the per-corpus
-  /// `condtd_corpus_bytes` gauge and enforces its per-tenant memory cap
-  /// against it.
+  /// summaries plus OwnBytes. A full walk, O(elements + retained data);
+  /// the serve daemon reads the same figure through a StoreBytesMemo.
   size_t ApproxBytes() const;
+  /// The store's own part of ApproxBytes: its maps and vectors, not the
+  /// summaries they hold. O(1).
+  size_t OwnBytes() const;
 
  private:
   SummaryLimits limits_;
@@ -192,6 +214,26 @@ class SummaryStore {
   /// Per-symbol versions (0 = no summary) and the clock that stamps them.
   std::vector<uint64_t> versions_;
   uint64_t clock_ = 0;
+};
+
+/// SummaryStore::ApproxBytes without the full walk: remembers each
+/// summary's bytes with the version it measured them at, and re-measures
+/// only the summaries whose version moved since the last call. The
+/// result equals a full walk of the same store, because every write to
+/// a summary moves its version. The serve daemon reports it as the
+/// per-corpus `condtd_corpus_bytes` gauge and holds its per-tenant
+/// memory cap against it, on every INGEST. Bound to one store; not
+/// thread-safe (IngestSession's lock serializes it with the writers).
+class StoreBytesMemo {
+ public:
+  size_t ApproxBytes(const SummaryStore& store);
+
+ private:
+  /// Indexed by symbol: the version last measured (0: never) and the
+  /// summary's bytes at that version.
+  std::vector<std::pair<uint64_t, size_t>> measured_;
+  /// The sum of the measured bytes.
+  size_t summaries_bytes_ = 0;
 };
 
 }  // namespace condtd

@@ -23,6 +23,10 @@ namespace obs {
 ///  * Disabled by default. Every instrumentation point is a single
 ///    relaxed atomic-bool load plus a predicted branch when stats are
 ///    off, so the ingest hot path stays within its performance budget.
+///  * Enabled, a metric costs O(1) per request or per batch, not per
+///    word or per event: the hot loops tally in plain members and
+///    publish once per document (lexer and fold counters) or once per
+///    dedup flush (the fold stages' spans and counters).
 ///  * Writers never share cache lines across threads on purpose: the
 ///    registry is backed by `kMetricShards` cache-line-padded slots of
 ///    relaxed atomics; each thread hashes to one slot. Snapshots sum
@@ -115,9 +119,9 @@ enum class Stage : int {
   kIoRead = 0,      ///< document input (mmap setup or buffered read)
   kLexParse,        ///< per-document parse (+ in-stream fold for SAX)
   kEntityDecode,    ///< XML entity decoding runs
-  kWordFold,        ///< ElementSummary::AddChildWord (whole fold)
-  kTwoTInf,         ///< 2T-INF SOA fold inside AddChildWord
-  kCrxFold,         ///< CRX summary fold inside AddChildWord
+  kWordFold,        ///< one dedup flush's weighted folds (per batch)
+  kTwoTInf,         ///< the flush's 2T-INF SOA pass
+  kCrxFold,         ///< the flush's CRX histogram pass
   kDedupCommit,     ///< dedup-mode document commit bookkeeping
   kShardMerge,      ///< barrier: alphabet replay + shard store merges
   kLearn,           ///< per-element learner dispatch (split per learner)

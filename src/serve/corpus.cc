@@ -232,8 +232,8 @@ Status Corpus::Ingest(std::string_view doc) {
     }
   }
   obs::SchedAdd(obs::SchedCounter::kServeIngestRequests, 1);
-  // ApproxBytes walks the whole state under the session lock; a disabled
-  // gauge must not pay for it.
+  // ApproxBytes re-measures only the summaries this INGEST wrote, but
+  // still takes the session lock; a disabled gauge need not pay for it.
   if (obs::StatsEnabled()) {
     obs::GaugeMax(obs::Gauge::kCorpusBytesPeak,
                   static_cast<int64_t>(session_.ApproxBytes()));

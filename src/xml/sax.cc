@@ -121,6 +121,17 @@ Status DecodeXmlEntities(std::string_view raw, std::string* out) {
   return Status::OK();
 }
 
+void SaxLexer::PublishCounters() {
+  auto publish = [](obs::Counter counter, int64_t* count) {
+    if (*count != 0) obs::CounterAdd(counter, *count);
+    *count = 0;
+  };
+  publish(obs::Counter::kStartTags, &start_tags_);
+  publish(obs::Counter::kAttributesSeen, &attributes_seen_);
+  publish(obs::Counter::kTextEvents, &text_events_);
+  publish(obs::Counter::kEntityDecodes, &entity_decodes_);
+}
+
 Result<SaxEvent> SaxLexer::Next() {
   while (pos_ < input_.size()) {
     size_t start = pos_;
@@ -142,18 +153,18 @@ Result<SaxEvent> SaxLexer::Next() {
         // Zero-copy path: no entities, the view is the text.
         if (StripWhitespace(raw).empty()) continue;
         event.text = raw;
-        obs::CounterAdd(obs::Counter::kTextEvents, 1);
+        ++text_events_;
         return event;
       }
       text_scratch_.clear();
       {
         obs::StageSpan span(obs::Stage::kEntityDecode);
-        obs::CounterAdd(obs::Counter::kEntityDecodes, 1);
+        ++entity_decodes_;
         CONDTD_RETURN_IF_ERROR(DecodeXmlEntities(raw, &text_scratch_));
       }
       if (StripWhitespace(text_scratch_).empty()) continue;
       event.text = text_scratch_;
-      obs::CounterAdd(obs::Counter::kTextEvents, 1);
+      ++text_events_;
       return event;
     }
     // '<' dispatch. Ordinary tags (next char is a name char or '/') are
@@ -181,7 +192,7 @@ Result<SaxEvent> SaxLexer::Next() {
       event.text = input_.substr(pos_ + 9, end - pos_ - 9);
       pos_ = end + 3;
       if (StripWhitespace(event.text).empty()) continue;
-      obs::CounterAdd(obs::Counter::kTextEvents, 1);
+      ++text_events_;
       return event;
     }
     if (StartsWith(input_.substr(pos_), "<?")) {
@@ -256,11 +267,8 @@ Result<SaxEvent> SaxLexer::LexTag() {
           std::string_view(attr_scratch_).substr(slot.first, slot.second);
     }
     if (event.kind == SaxEventKind::kStartElement) {
-      obs::CounterAdd(obs::Counter::kStartTags, 1);
-      if (!attributes_.empty()) {
-        obs::CounterAdd(obs::Counter::kAttributesSeen,
-                        static_cast<int64_t>(attributes_.size()));
-      }
+      ++start_tags_;
+      attributes_seen_ += static_cast<int64_t>(attributes_.size());
     }
     return event;
   };
@@ -331,7 +339,7 @@ Result<SaxEvent> SaxLexer::LexTag() {
     size_t scratch_start = attr_scratch_.size();
     {
       obs::StageSpan span(obs::Stage::kEntityDecode);
-      obs::CounterAdd(obs::Counter::kEntityDecodes, 1);
+      ++entity_decodes_;
       CONDTD_RETURN_IF_ERROR(DecodeXmlEntities(raw, &attr_scratch_));
     }
     scratch_slots_.emplace_back(

@@ -2,6 +2,7 @@
 #define CONDTD_XML_SAX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,15 +69,28 @@ Status DecodeXmlEntities(std::string_view raw, std::string* out);
 /// returned as views into the raw buffer — nothing is copied unless an
 /// entity must be decoded, and the decode scratch is reused across
 /// events so a whole document lexes with O(1) allocations.
+///
+/// The lexer counts its events (`start_tags`, `attributes_seen`,
+/// `text_events`, `entity_decodes`) in plain members and publishes them
+/// to the obs registry once per document — on `Reset`, on
+/// `PublishCounters` and in its destructor — so lexing pays no atomic
+/// add per event.
 class SaxLexer {
  public:
   SaxLexer() = default;
   explicit SaxLexer(std::string_view input) : input_(input) {}
+  ~SaxLexer() { PublishCounters(); }
+
+  /// A copy would publish the same counts twice.
+  SaxLexer(const SaxLexer&) = delete;
+  SaxLexer& operator=(const SaxLexer&) = delete;
 
   /// Rebinds the lexer to a new document, keeping scratch capacity.
   /// Ingestion drivers reuse one lexer across a whole corpus so that
-  /// steady-state lexing performs no per-document allocation.
+  /// steady-state lexing performs no per-document allocation. Publishes
+  /// the previous document's counts first.
   void Reset(std::string_view input) {
+    PublishCounters();
     input_ = input;
     pos_ = 0;
     attributes_.clear();
@@ -94,6 +108,12 @@ class SaxLexer {
 
   size_t offset() const { return pos_; }
 
+  /// Adds the events counted since the last call to the obs registry.
+  /// Callers that end a document without a `Reset` (a fold that stops
+  /// at an error) call it so a snapshot taken between documents is
+  /// complete.
+  void PublishCounters();
+
  private:
   Result<SaxEvent> LexTag();
 
@@ -108,6 +128,11 @@ class SaxLexer {
   std::vector<std::pair<size_t, std::pair<size_t, size_t>>> scratch_slots_;
   /// Decoded-text scratch, reused across text events.
   std::string text_scratch_;
+  /// Events counted since the last PublishCounters.
+  int64_t start_tags_ = 0;
+  int64_t attributes_seen_ = 0;
+  int64_t text_events_ = 0;
+  int64_t entity_decodes_ = 0;
 };
 
 }  // namespace condtd

@@ -98,10 +98,11 @@ void PrintNumeric(const ReRef& re, const NumericAnnotations& annotations,
     PrintNumeric(body, annotations, alphabet, 0, out);
     if (parens) *out += ')';
     if (a.max_occurs == a.min_occurs) {
-      *out += "=" + std::to_string(a.min_occurs);
+      *out += '=';
     } else {
-      *out += ">=" + std::to_string(a.min_occurs);
+      *out += ">=";
     }
+    *out += std::to_string(a.min_occurs);
     return;
   }
   bool parens = precedence(re->kind()) < min_prec;

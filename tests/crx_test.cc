@@ -10,6 +10,7 @@
 #include "automaton/two_t_inf.h"
 #include "base/fold_scratch.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "gen/random_regex.h"
 #include "gen/regex_sampler.h"
 #include "gen/representative.h"
@@ -122,7 +123,7 @@ TEST_P(CrxRecoversChare, FromGeneratedSample) {
     ASSERT_TRUE(learned.ok()) << learned.status().ToString();
     Alphabet names;
     for (int i = 0; i < GetParam(); ++i) {
-      names.Intern("a" + std::to_string(i));
+      names.Intern(Numbered("a", i));
     }
     EXPECT_TRUE(LanguageSubset(target, learned.value()))
         << "target " << ToString(target, names) << " learned "
@@ -145,13 +146,13 @@ TEST(Crx, LinearSampleSufficesForRepeatedDisjunction) {
     sample.push_back(w);
   }
   sample.push_back(Word{});  // zero-occurrence witness
-  for (int i = 0; i < n; ++i) alphabet.Intern("a" + std::to_string(i + 1));
+  for (int i = 0; i < n; ++i) alphabet.Intern(Numbered("a", i + 1));
   Result<ReRef> learned = CrxInfer(sample);
   ASSERT_TRUE(learned.ok());
   std::string expected = "(";
   for (int i = 0; i < n; ++i) {
     if (i > 0) expected += " | ";
-    expected += "a" + std::to_string(i + 1);
+    expected += Numbered("a", i + 1);
   }
   expected += ")*";
   EXPECT_EQ(ToString(learned.value(), alphabet), expected);

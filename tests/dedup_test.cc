@@ -19,6 +19,7 @@
 #include "automaton/two_t_inf.h"
 #include "base/fold_scratch.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "check/oracles.h"
 #include "check/reference_fold.h"
 #include "crx/crx.h"
@@ -370,7 +371,7 @@ TEST(DedupDifferential, EarlyFlushesPreserveTheResult) {
 TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   std::string doc = "<r>";
   for (int i = 0; i < kDenseFoldWindow + 200; ++i) {
-    std::string name = "e" + std::to_string(i);
+    std::string name = Numbered("e", i);
     doc += "<" + name + "/><" + name + "/>";
   }
   doc += "</r>";

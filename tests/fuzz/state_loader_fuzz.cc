@@ -3,9 +3,10 @@
 // std::atoll/std::atoi), sums of in-range counts that overflow,
 // truncated files and junk count fields. Loaded stores are re-saved and
 // re-loaded: a state the loader accepted must round-trip through its own
-// serializer. Accepted states are then learned with iDTD and CRX, so
-// undefined behavior past the loader (GFA edge supports, CRX counts) is
-// in reach too.
+// serializer. Accepted states are then learned with iDTD and CRX, with
+// and without Section 9 noise handling, so undefined behavior past the
+// loader (GFA edge supports, CRX counts and symbol supports) is in reach
+// too.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,9 +37,11 @@ void LoadWith(std::string_view input, int max_retained_words) {
 
 // The per-element step and the XSD assembler of InferXsd, over the
 // elements small enough to learn.
-void LearnWith(std::string_view input, const char* learner) {
+void LearnWith(std::string_view input, const char* learner,
+               int noise_symbol_threshold) {
   condtd::InferenceOptions options;
   options.learner = learner;
+  options.noise_symbol_threshold = noise_symbol_threshold;
   condtd::DtdInferrer inferrer(options);
   if (!inferrer.LoadState(input).ok()) return;
   const condtd::SummaryStore& store = inferrer.summaries();
@@ -64,7 +67,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view input(reinterpret_cast<const char*>(data), size);
   LoadWith(input, 0);
   LoadWith(input, 4);
-  LearnWith(input, "idtd");
-  LearnWith(input, "crx");
+  for (int noise : {0, 2}) {
+    LearnWith(input, "idtd", noise);
+    LearnWith(input, "crx", noise);
+  }
   return 0;
 }

@@ -218,7 +218,10 @@ TEST(Idtd, UnchangedRepairRoundTakesTheBudgetExitAtOnce) {
   };
 
   std::string example4 = "(";
-  for (int i = 5; i <= 61; ++i) example4 += "a" + std::to_string(i) + " | ";
+  for (int i = 5; i <= 61; ++i) {
+    example4 += Numbered("a", i);
+    example4 += " | ";
+  }
   example4 += "a1? a2 a3? a4?)+";
   expect_repairs(BuildTable2Cases(20060912)[3], 1, example4);
 
@@ -326,7 +329,7 @@ IdtdOptions RestrictedOptions() {
 /// Names for the symbols of RepairStressSoas.
 Alphabet StressNames() {
   Alphabet names;
-  for (int s = 0; s < 256; ++s) names.Intern("s" + std::to_string(s));
+  for (int s = 0; s < 256; ++s) names.Intern(Numbered("s", s));
   return names;
 }
 

@@ -14,9 +14,11 @@
 #include "gen/xml_gen.h"
 #include "infer/engine.h"
 #include "infer/inferrer.h"
+#include "infer/session.h"
 #include "infer/streaming.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "xml/parser.h"
 
 namespace condtd {
 namespace {
@@ -269,10 +271,9 @@ TEST_F(ObsTest, JsonReportIsSchemaStable) {
   std::string counters = JsonSection(json, "counters");
   size_t last = 0;
   for (int c = 0; c < static_cast<int>(obs::Counter::kNumCounters); ++c) {
-    std::string key = "\"" +
-                      std::string(obs::CounterName(
-                          static_cast<obs::Counter>(c))) +
-                      "\":";
+    std::string key = "\"";
+    key += obs::CounterName(static_cast<obs::Counter>(c));
+    key += "\":";
     size_t at = counters.find(key);
     ASSERT_NE(at, std::string::npos) << key;
     EXPECT_GT(at, last) << key << " out of order";
@@ -327,6 +328,147 @@ TEST_F(ObsTest, FailedDocumentsCountPerCallAndThroughAFolder) {
                   obs::Counter::kDocumentsFailed)],
               1);
   }
+}
+
+TEST_F(ObsTest, FoldStagesCountOneSpanPerFlush) {
+  SKIP_WITHOUT_STATS();
+  // The fold stages time whole flushes, not words: one word_fold span
+  // per dedup flush, with one crx_fold and one two_t_inf span inside.
+  std::vector<std::string> documents = GenerateCorpus(60, 8128);
+  auto expect_one_span_per_flush = [](const std::string& label) {
+    obs::StatsSnapshot snapshot = obs::SnapshotStats();
+    int64_t flushes =
+        snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupFlushes)];
+    EXPECT_GE(flushes, 1) << label;
+    for (obs::Stage stage : {obs::Stage::kWordFold, obs::Stage::kTwoTInf,
+                             obs::Stage::kCrxFold}) {
+      EXPECT_EQ(snapshot.stages[static_cast<int>(stage)].count, flushes)
+          << label << " " << obs::StageName(stage);
+    }
+  };
+  for (int jobs : {1, 3}) {
+    obs::ResetStats();
+    RunPipeline(documents, jobs);
+    expect_one_span_per_flush("jobs " + std::to_string(jobs));
+  }
+  // A cache this small flushes every few documents.
+  obs::ResetStats();
+  DtdInferrer inferrer;
+  StreamingFolder::Options options;
+  options.max_distinct_words = 4;
+  {
+    StreamingFolder folder(&inferrer, options);
+    for (const std::string& doc : documents) {
+      ASSERT_TRUE(folder.AddXml(doc).ok());
+    }
+  }
+  EXPECT_GT(obs::SnapshotStats().sched[static_cast<int>(
+                obs::SchedCounter::kDedupFlushes)],
+            10);
+  expect_one_span_per_flush("early flushes");
+}
+
+/// Documents that leave through every exit of the fold, around a
+/// generated corpus: entities in text and in attribute values, a lexer
+/// failure (after three start tags), a mismatched end tag (a fold
+/// failure when strict, a lenient recovery when lenient) and a document
+/// with no root (a fold failure either way).
+std::vector<std::string> MixedCorpus() {
+  std::vector<std::string> documents = GenerateCorpus(12, 424242);
+  const std::vector<std::string> extra = {
+      "<feed><entry><title>a &amp; b</title><link rel=\"x&lt;y\"/>"
+      "<author><name>n &#65;</name></author></entry></feed>",
+      "<feed><entry><title>t</title><link href=x/></entry></feed>",
+      "<feed><entry><title>t &gt; u</title></feed>",
+      "<!-- no root -->",
+      "<feed><entry><title>s</title><link rel=\"a\" href=\"&quot;\"/>"
+      "<author><name>m</name></author></entry></feed>",
+  };
+  for (size_t i = 0; i < extra.size(); ++i) {
+    documents.insert(documents.begin() + 2 * i + 1, extra[i]);
+  }
+  return documents;
+}
+
+/// Every deterministic counter, then dedup hits + misses.
+std::vector<int64_t> CounterValues() {
+  obs::StatsSnapshot snapshot = obs::SnapshotStats();
+  std::vector<int64_t> values(snapshot.counters.begin(),
+                              snapshot.counters.end());
+  values.push_back(
+      snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupHits)] +
+      snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupMisses)]);
+  return values;
+}
+
+TEST_F(ObsTest, CountersPublishedPerDocumentKeepTheirTotals) {
+  SKIP_WITHOUT_STATS();
+  // The lexer and the fold count in plain members and publish once per
+  // document, on every exit path; the totals are those of counting each
+  // event as it happens (pinned from the per-event build).
+  const std::vector<std::string> documents = MixedCorpus();
+  const std::vector<int64_t> expected_strict = {
+      5413, 14, 3, 207, 114, 3, 5, 203, 201, 0, 0, 0, 0, 0, 0, 0, 0, 203};
+  const std::vector<int64_t> expected_lenient = {
+      5413, 15, 2, 207, 114, 3, 5, 205, 204, 0, 0, 0, 0, 0, 0, 0, 0, 205};
+  for (bool lenient : {false, true}) {
+    InferenceOptions inference;
+    inference.lenient_xml = lenient;
+    const std::vector<int64_t>& expected =
+        lenient ? expected_lenient : expected_strict;
+    for (int jobs : {1, 3}) {
+      obs::ResetStats();
+      IngestEngine::Options options;
+      options.inference = inference;
+      options.jobs = jobs;
+      IngestEngine engine(options);
+      for (const std::string& doc : documents) engine.AddXml(doc);
+      EXPECT_FALSE(engine.Finish().ok());
+      EXPECT_EQ(CounterValues(), expected)
+          << "lenient " << lenient << " jobs " << jobs;
+    }
+    obs::ResetStats();
+    IngestSession session(inference);
+    int64_t ended = 0;
+    for (const std::string& doc : documents) {
+      (void)session.Ingest(doc);
+      // A snapshot between documents holds every count of the ones
+      // that ended.
+      std::vector<int64_t> values = CounterValues();
+      EXPECT_EQ(values[static_cast<int>(obs::Counter::kDocumentsIngested)] +
+                    values[static_cast<int>(obs::Counter::kDocumentsFailed)],
+                ++ended);
+      EXPECT_EQ(values.back(),
+                values[static_cast<int>(obs::Counter::kWordsFolded)]);
+    }
+    std::string state;
+    session.Snapshot(&state, nullptr);
+    EXPECT_EQ(CounterValues(), expected) << "session, lenient " << lenient;
+  }
+  // A failed document publishes its probe steps with its hits and
+  // misses, so the probe loop's count bounds them even when the last
+  // document fails.
+  obs::ResetStats();
+  {
+    DtdInferrer inferrer;
+    StreamingFolder folder(&inferrer);
+    ASSERT_TRUE(folder.AddXml("<a><b/></a>").ok());
+    ASSERT_FALSE(folder.AddXml("<a><b/><b/><c/></x>").ok());
+  }
+  obs::StatsSnapshot snapshot = obs::SnapshotStats();
+  EXPECT_GE(
+      snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupProbeSteps)],
+      snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupHits)] +
+          snapshot.sched[static_cast<int>(obs::SchedCounter::kDedupMisses)]);
+  // The DOM parser's lexer publishes when it goes out of scope.
+  obs::ResetStats();
+  ASSERT_TRUE(ParseXml(documents[1]).ok());
+  EXPECT_EQ(obs::SnapshotStats().counters[static_cast<int>(
+                obs::Counter::kStartTags)],
+            6);
+  EXPECT_EQ(obs::SnapshotStats().counters[static_cast<int>(
+                obs::Counter::kEntityDecodes)],
+            3);
 }
 
 }  // namespace

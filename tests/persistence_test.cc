@@ -519,6 +519,38 @@ TEST(StatePersistence, IdtdLearnsMergedEdgesWhoseSupportsLeave32Bits) {
       << WriteDtd(dtd.value(), *inferrer.alphabet());
 }
 
+TEST(StatePersistence, CrxNoiseSupportSaturatesAtTheThreshold) {
+  // a's support is 2 * INT64_MAX occurrences, which int64 cannot hold;
+  // it only has to reach the threshold. b's single occurrence is noise.
+  DtdInferrer inferrer{[] {
+    InferenceOptions options;
+    options.learner = "crx";
+    options.noise_symbol_threshold = 2;
+    return options;
+  }()};
+  ASSERT_TRUE(inferrer
+                  .LoadState("condtd-state 2\n"
+                             "element e 3 0\n"
+                             "soa.state a 2\n"
+                             "soa.state b 1\n"
+                             "soa.init a 2\n"
+                             "soa.init b 1\n"
+                             "soa.final a 2\n"
+                             "soa.final b 1\n"
+                             "soa.edge a a 2\n"
+                             "crx.edge a a\n"
+                             "crx.hist 9223372036854775806 a=2\n"
+                             "crx.hist 1 b=1\n"
+                             "end\n")
+                  .ok());
+  Result<Dtd> dtd = inferrer.InferDtd();
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  EXPECT_NE(WriteDtd(dtd.value(), *inferrer.alphabet())
+                .find("<!ELEMENT e (a)*>"),
+            std::string::npos)
+      << WriteDtd(dtd.value(), *inferrer.alphabet());
+}
+
 TEST(StatePersistence, DuplicateElementSectionsMerge) {
   SummaryStore store;
   Alphabet alphabet;

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "base/file.h"
+#include "base/rng.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/corpus.h"
@@ -338,6 +339,92 @@ TEST(IngestSession, ApproxBytesGrowsWithRetainedState) {
   size_t ten = session.ApproxBytes();
   EXPECT_LT(empty, one);
   EXPECT_LT(one, ten);
+}
+
+/// What IngestSession::ApproxBytes adds up, by a full walk: every
+/// summary measured afresh, with no memo.
+size_t WalkedBytes(const IngestSession& session) {
+  size_t bytes = 0;
+  session.Inspect(
+      [&bytes](const DtdInferrer& inferrer, const StreamingFolder& folder) {
+        bytes = inferrer.summaries().ApproxBytes() +
+                inferrer.alphabet().ApproxBytes() +
+                folder.cache_bytes_resident();
+      });
+  return bytes;
+}
+
+TEST(IngestSession, ApproxBytesEqualsAFullWalkAfterEveryStep) {
+  // A seeded script of the ways a session's state changes: accepted and
+  // rejected INGESTs, a QUERY's flush and copies, MergeFrom of a folded
+  // and of a loaded state, and a reopen from a snapshot as recovery
+  // does it. ApproxBytes re-measures only the summaries whose version
+  // moved; after every step it must equal a full walk.
+  const std::vector<std::string> docs = MixedDocs(40);
+  const std::vector<std::string> rejected = {
+      "<library><book></library>", "<library><shelf><q/></shelf>",
+      "<r><s>&#0;</s></r>", "no markup"};
+  Rng rng(20061012);
+  auto session = std::make_unique<IngestSession>(InferenceOptions{});
+  std::vector<uint64_t> known;
+  Alphabet names;
+  SummaryDelta delta;
+  ASSERT_EQ(session->ApproxBytes(), WalkedBytes(*session));
+  for (int step = 0; step < 400; ++step) {
+    std::string label;
+    switch (rng.NextBelow(6)) {
+      case 0:
+      case 1:
+        label = "ingest";
+        ASSERT_TRUE(session->Ingest(docs[rng.NextBelow(docs.size())]).ok());
+        break;
+      case 2:
+        label = "rejected ingest";
+        ASSERT_FALSE(
+            session->Ingest(rejected[rng.NextBelow(rejected.size())]).ok());
+        break;
+      case 3:
+        label = "query";
+        session->SnapshotChanged(known, &names, &delta);
+        for (const auto& [symbol, version] : delta.versions) {
+          if (static_cast<size_t>(symbol) >= known.size()) {
+            known.resize(symbol + 1, 0);
+          }
+          known[symbol] = version;
+        }
+        break;
+      case 4: {
+        label = "merge";
+        DtdInferrer other;
+        for (int i = 0; i < 3; ++i) {
+          ASSERT_TRUE(other.AddXml(docs[rng.NextBelow(docs.size())]).ok());
+        }
+        session->MergeFrom(other);
+        break;
+      }
+      case 5: {
+        label = "load state";
+        DtdInferrer loaded;
+        ASSERT_TRUE(
+            loaded.LoadState(PrefixState(docs, 1 + rng.NextBelow(8))).ok());
+        session->MergeFrom(loaded);
+        break;
+      }
+    }
+    ASSERT_EQ(session->ApproxBytes(), WalkedBytes(*session))
+        << "step " << step << ": " << label;
+    if (step == 200) {
+      std::string state;
+      session->Snapshot(&state, nullptr);
+      session = std::make_unique<IngestSession>(InferenceOptions{});
+      DtdInferrer loaded;
+      ASSERT_TRUE(loaded.LoadState(state).ok());
+      session->MergeFrom(loaded);
+      known.clear();
+      names = Alphabet();
+      ASSERT_EQ(session->ApproxBytes(), WalkedBytes(*session)) << "reopen";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -676,8 +763,8 @@ TEST(Corpus, MemoryCapRefusesFurtherIngestion) {
 }
 
 TEST(Corpus, CorpusBytesGaugeFollowsTheStatsSwitch) {
-  // The gauge walks the whole retained state, so INGEST reads it only
-  // while the registry collects; then it holds the retained bytes.
+  // INGEST reads the gauge only while the registry collects; then it
+  // holds the retained bytes.
   Result<std::unique_ptr<serve::Corpus>> corpus =
       serve::Corpus::Open("lib", serve::Corpus::Options());
   ASSERT_TRUE(corpus.ok());
