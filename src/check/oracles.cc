@@ -1,6 +1,8 @@
 #include "check/oracles.h"
 
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -20,6 +22,8 @@
 #include "regex/matcher.h"
 #include "regex/properties.h"
 #include "serve/corpus.h"
+#include "xml/parser.h"
+#include "xsd/writer.h"
 
 namespace condtd {
 
@@ -345,6 +349,12 @@ OracleResult CheckSummaryEquivalence(const SummaryStore& a,
       return OracleResult::Fail("has_text of '" + element_name +
                                 "' differs");
     }
+    if (ours.text_types != theirs->text_types) {
+      return OracleResult::Fail(
+          "text datatypes of '" + element_name + "' differ: " +
+          std::to_string(ours.text_types) + " vs " +
+          std::to_string(theirs->text_types));
+    }
     if (ours.attribute_counts != theirs->attribute_counts) {
       return OracleResult::Fail("attribute counts of '" + element_name +
                                 "' differ");
@@ -557,8 +567,8 @@ OracleResult CheckIngestionEquivalence(
   const std::string reference_state = reference.SaveState();
   if (streaming_state != reference_state) {
     return OracleResult::Fail(
-        "streaming SaveState differs from the reference fold's (SOA "
-        "state order, supports or retained samples; with broken "
+        "streaming SaveState differs from the reference fold's "
+        "(supports, datatype masks or symbol numbering; with broken "
         "documents interleaved, a rollback residue shows here too):\n" +
         streaming_state + "vs\n" + reference_state);
   }
@@ -582,6 +592,8 @@ OracleResult CheckIngestionEquivalence(
 
   IngestEngine::Options engine_options;
   engine_options.inference = options;
+  // One document per batch, so that the shards split the corpus.
+  engine_options.inference.batch_docs = 1;
   engine_options.jobs = jobs;
   IngestEngine parallel(engine_options);
   for (const std::string& doc : documents) parallel.AddXml(doc);
@@ -589,6 +601,13 @@ OracleResult CheckIngestionEquivalence(
   if (!folded.ok()) {
     return OracleResult::Fail("parallel ingestion failed: " +
                               folded.ToString());
+  }
+  const std::string parallel_state = parallel.inferrer().SaveState();
+  if (parallel_state != reference_state) {
+    return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
+                              ") SaveState differs from the reference "
+                              "fold's:\n" +
+                              parallel_state + "vs\n" + reference_state);
   }
   Result<Dtd> parallel_dtd =
       parallel.inferrer().InferDtd(parallel.infer_threads());
@@ -602,6 +621,193 @@ OracleResult CheckIngestionEquivalence(
     return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
                               ") DTD differs from the reference fold's:\n" +
                               parallel_text + "vs\n" + reference_text);
+  }
+  return OracleResult::Pass();
+}
+
+namespace {
+
+bool AllDigits(std::string_view text) {
+  return !text.empty() &&
+         std::all_of(text.begin(), text.end(), [](char c) {
+           return std::isdigit(static_cast<unsigned char>(c)) != 0;
+         });
+}
+
+std::string_view WithoutSign(std::string_view text) {
+  if (!text.empty() && (text[0] == '+' || text[0] == '-')) {
+    text.remove_prefix(1);
+  }
+  return text;
+}
+
+/// Whether `value` lies in the lexical space of the XML Schema built-in
+/// `type` (the heuristic emits a subset of each: no time zones, four-digit
+/// years). Written from the XML Schema grammar, apart from the heuristic.
+bool InLexicalSpace(std::string_view type, std::string_view value) {
+  if (type == "xs:string") return true;
+  if (type == "xs:boolean") {
+    return value == "true" || value == "false" || value == "0" ||
+           value == "1";
+  }
+  if (type == "xs:integer") return AllDigits(WithoutSign(value));
+  if (type == "xs:decimal") {
+    std::string_view number = WithoutSign(value);
+    size_t dot = number.find('.');
+    if (dot == std::string_view::npos) return AllDigits(number);
+    std::string_view whole = number.substr(0, dot);
+    std::string_view fraction = number.substr(dot + 1);
+    return (whole.empty() || AllDigits(whole)) &&
+           (fraction.empty() || AllDigits(fraction)) &&
+           !(whole.empty() && fraction.empty());
+  }
+  if (type == "xs:date") {
+    if (value.size() != 10 || value[4] != '-' || value[7] != '-' ||
+        !AllDigits(value.substr(0, 4)) || !AllDigits(value.substr(5, 2)) ||
+        !AllDigits(value.substr(8, 2))) {
+      return false;
+    }
+    auto number = [&](size_t first, size_t length) {
+      return std::stoi(std::string(value.substr(first, length)));
+    };
+    return std::chrono::year_month_day(
+               std::chrono::year(number(0, 4)),
+               std::chrono::month(static_cast<unsigned>(number(5, 2))),
+               std::chrono::day(static_cast<unsigned>(number(8, 2))))
+        .ok();
+  }
+  return false;
+}
+
+/// Every element name's declared simple type in `xsd`: the
+/// `<xs:element name="N" type="T"/>` lines WriteXsd emits for text-only
+/// elements.
+std::map<std::string, std::string> DeclaredTypes(const std::string& xsd) {
+  std::map<std::string, std::string> types;
+  for (const std::string& line : SplitString(xsd, '\n')) {
+    const std::string name_key = "<xs:element name=\"";
+    const std::string type_key = "\" type=\"";
+    size_t name_at = line.find(name_key);
+    size_t type_at = line.find(type_key);
+    if (name_at == std::string::npos || type_at == std::string::npos) {
+      continue;
+    }
+    name_at += name_key.size();
+    size_t type_end = line.find('"', type_at + type_key.size());
+    types[line.substr(name_at, type_at - name_at)] = line.substr(
+        type_at + type_key.size(), type_end - type_at - type_key.size());
+  }
+  return types;
+}
+
+}  // namespace
+
+OracleResult CheckDatatypes(const std::vector<std::string>& documents,
+                            const std::vector<std::string>& rejected,
+                            const InferenceOptions& options) {
+  // Every element's whitespace-stripped text values, clean documents
+  // only. An occurrence without text adds no value, as in the fold.
+  std::map<std::string, std::vector<std::string>> values;
+  for (const std::string& xml : documents) {
+    Result<XmlDocument> doc =
+        options.lenient_xml ? ParseXmlLenient(xml) : ParseXml(xml);
+    if (!doc.ok()) {
+      return OracleResult::Fail("clean document fails to parse: " +
+                                doc.status().ToString());
+    }
+    std::vector<const XmlElement*> pending = {doc->root.get()};
+    while (!pending.empty()) {
+      const XmlElement* element = pending.back();
+      pending.pop_back();
+      if (element->HasSignificantText()) {
+        values[element->name()].emplace_back(
+            StripWhitespace(element->text()));
+      }
+      for (const auto& child : element->children()) {
+        pending.push_back(child.get());
+      }
+    }
+  }
+
+  std::string first_state;
+  std::string first_xsd;
+  for (int jobs : {1, 2, 7}) {
+    const std::string label = "jobs=" + std::to_string(jobs);
+    IngestEngine::Options engine_options;
+    engine_options.inference = options;
+    engine_options.inference.batch_docs = 1;
+    engine_options.jobs = jobs;
+    IngestEngine engine(engine_options);
+    size_t want_errors = 0;
+    for (size_t d = 0; d < documents.size(); ++d) {
+      engine.AddXml(documents[d]);
+      if (d < rejected.size() && !rejected[d].empty()) {
+        engine.AddXml(rejected[d]);
+        ++want_errors;
+      }
+    }
+    (void)engine.Finish();  // fails exactly when a rejected document ran
+    if (engine.errors().size() != want_errors) {
+      return OracleResult::Fail(
+          label + ": " + std::to_string(engine.errors().size()) +
+          " documents failed, expected " + std::to_string(want_errors));
+    }
+    Result<std::string> xsd = engine.inferrer().InferXsd(jobs);
+    if (!xsd.ok()) {
+      return OracleResult::Fail(label + ": XSD inference failed: " +
+                                xsd.status().ToString());
+    }
+    const std::string state = engine.inferrer().SaveState();
+    if (jobs == 1) {
+      first_state = state;
+      first_xsd = *xsd;
+      continue;
+    }
+    if (state != first_state) {
+      return OracleResult::Fail(label + " saves\n" + state +
+                                "but jobs=1 saves\n" + first_state);
+    }
+    if (*xsd != first_xsd) {
+      return OracleResult::Fail(label + " emits\n" + *xsd +
+                                "but jobs=1 emits\n" + first_xsd);
+    }
+  }
+
+  DtdInferrer restored(options);
+  Status loaded = restored.LoadState(first_state);
+  if (!loaded.ok()) {
+    return OracleResult::Fail("the jobs=1 state does not load: " +
+                              loaded.ToString());
+  }
+  Result<std::string> restored_xsd = restored.InferXsd();
+  if (!restored_xsd.ok() || *restored_xsd != first_xsd) {
+    return OracleResult::Fail(
+        "the XSD of the loaded jobs=1 state differs:\n" +
+        (restored_xsd.ok() ? *restored_xsd
+                           : restored_xsd.status().ToString()) +
+        "\nvs\n" + first_xsd);
+  }
+
+  for (const auto& [name, type] : DeclaredTypes(first_xsd)) {
+    auto it = values.find(name);
+    if (it == values.end()) continue;  // never had text
+    for (const std::string& value : it->second) {
+      if (!InLexicalSpace(type, value)) {
+        return OracleResult::Fail("element " + name + " is declared " +
+                                  type + " but has the value '" + value +
+                                  "'");
+      }
+    }
+    // Exact, not sampled: the types every one of its values satisfies.
+    uint8_t types = kAllTextTypes;
+    for (const std::string& value : it->second) types &= TextTypes(value);
+    const std::string_view exact = SimpleTypeName(types);
+    if (type != exact) {
+      return OracleResult::Fail("element " + name + " is declared " + type +
+                                " but its " +
+                                std::to_string(it->second.size()) +
+                                " values give " + std::string(exact));
+    }
   }
   return OracleResult::Pass();
 }

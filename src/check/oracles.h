@@ -83,12 +83,12 @@ OracleResult CheckDtdRoundTrip(const Dtd& dtd, const Alphabet& alphabet);
 
 /// Semantic equality of two summary stores built over the SAME alphabet:
 /// root counts, seen-as-child marks, and per element the occurrence and
-/// attribute counts, the SOA (structure and supports, compared by symbol
-/// label so state numbering does not matter), the CRX summaries and the
-/// word reservoir. Text samples are excluded — which capped samples are
-/// retained is documented to depend on fold order. Word reservoirs are
-/// compared only when neither side overflowed (an overflowed reservoir's
-/// content is arrival-order dependent and learners refuse it anyway).
+/// attribute counts, the text datatype mask, the SOA (structure and
+/// supports, compared by symbol label so state numbering does not
+/// matter), the CRX summaries and the word reservoir. Word reservoirs
+/// are compared only when neither side overflowed (an overflowed
+/// reservoir's content is arrival-order dependent and learners refuse it
+/// anyway).
 OracleResult CheckSummaryEquivalence(const SummaryStore& a,
                                      const SummaryStore& b,
                                      const Alphabet& alphabet);
@@ -105,30 +105,55 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
 /// (check/reference_fold.h), on the same documents:
 ///  * the sequential streaming fold (one StreamingFolder with its flat
 ///    dedup cache) must reach byte-identical SaveState text — which
-///    exposes SOA state order, every support count and every retained
-///    text sample, so it is stronger than comparing DTDs;
+///    exposes every support count and every text datatype mask, so it
+///    is stronger than comparing DTDs;
 ///  * rollback leaves no residue: `broken_documents` runs parallel to
 ///    `documents` (empty entries are skipped), entry d is interleaved
 ///    after clean document d, and both folds must reject it. The
 ///    reference rejects at parse time, so the streaming fold, which
 ///    rolls back a half-folded document, must still end in the clean
 ///    state. For this to hold byte for byte each broken entry must be a
-///    truncation of its clean document: a rolled-back NOVEL word leaves
-///    a zero-count cache entry whose position shifts the flush order
-///    (the DTD is unaffected, SaveState is not), and a truncation
-///    completes only words its own clean document completes first;
+///    truncation of its clean document: the streaming fold keeps the
+///    names a rejected document interned (the reference parses first
+///    and interns none), a new name shifts the symbol ids that order
+///    SaveState's lists, and a truncation reaches only names its own
+///    clean document interned first;
 ///  * IngestEngine at one job must reach the same SaveState text twice:
 ///    with the broken documents interleaved, each reported in errors()
 ///    at its submission index, and with the reference fold's state over
 ///    the first half of the documents loaded ahead of the rest;
-///  * IngestEngine with `jobs` threads must emit a byte-identical DTD
-///    over the clean documents. Only the DTD: each shard keeps its own
-///    first `max_text_samples` text samples, so the merged SaveState may
-///    differ.
+///  * IngestEngine with `jobs` threads, one document per batch, must
+///    reach the same SaveState text and DTD over the clean documents.
+///    Save lists SOA states in symbol-id order, so the sharded fold's
+///    other state numbering does not show; a word reservoir that
+///    overflows would (pass options whose learner keeps none, or one
+///    that cannot overflow).
 OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
     const std::vector<std::string>& broken_documents,
     const InferenceOptions& options, int jobs);
+
+/// XSD datatypes over a corpus whose values may break an element's early
+/// type late. `rejected` runs parallel to `documents` like
+/// CheckIngestionEquivalence's `broken_documents`; each non-empty entry
+/// must fail to parse and must count for nothing. IngestEngine at jobs
+/// 1, 2 and 7, one document per batch, must save byte-identical states
+/// and emit byte-identical XSDs, and so must a fresh inferrer that
+/// loads the jobs-1 state. Per element the XSD declares a simple type
+/// for:
+///  * every text value of the clean documents must lie in that type's
+///    XML Schema lexical space (checked here, not by the heuristic);
+///  * the type must be SimpleTypeName of the AND of TextTypes over all
+///    of those values, not over a sample of them.
+/// Only occurrences with significant text give values. An occurrence
+/// without text is left out, as the fold leaves it out, although an
+/// empty `<v/>` lies outside xs:boolean, xs:integer, xs:decimal and
+/// xs:date; so on a corpus with text on only some occurrences this
+/// checks the declared type against the text values alone (the open
+/// note under ROADMAP item 2).
+OracleResult CheckDatatypes(const std::vector<std::string>& documents,
+                            const std::vector<std::string>& rejected,
+                            const InferenceOptions& options);
 
 /// One operation of an incremental-query trace (CheckIncrementalQuery).
 struct QueryTraceStep {

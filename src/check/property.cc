@@ -220,10 +220,10 @@ PropertyFailure MakeFailure(const std::string& learner, int instance,
 }
 
 /// Nests a text-bearing copy of a random text-bearing element inside
-/// it. The inner copy ends first, so a fold that took samples at start
-/// tags would retain that element's text samples in a different order
-/// than one taking them at end tags. Random DTDs are acyclic and keep
-/// text in leaves, so without this no element ever nests in itself.
+/// it, so that the element's text and its own child word fold while an
+/// occurrence of the same name is still open. Random DTDs are acyclic
+/// and keep text in leaves, so without this no element ever nests in
+/// itself.
 void NestSameNameText(XmlDocument* doc, Rng* rng) {
   std::vector<XmlElement*> with_text;
   std::vector<XmlElement*> pending = {doc->root.get()};
@@ -545,10 +545,7 @@ std::vector<PropertyFailure> RunIngestionProperty(
       failures.push_back(std::move(failure));
       continue;
     }
-    // Small sample caps make which text samples are retained — and so
-    // the fold order behind them — visible in SaveState.
     InferenceOptions inference;
-    inference.max_text_samples = 1 + static_cast<int>(rng.NextBelow(4));
     int jobs = 2 + static_cast<int>(rng.NextBelow(3));
     OracleResult check =
         CheckIngestionEquivalence(documents, broken, inference, jobs);
@@ -558,6 +555,95 @@ std::vector<PropertyFailure> RunIngestionProperty(
       failure.instance = i;
       failure.seed = seed;
       failure.oracle = "ingestion-equivalence";
+      failure.detail = check.detail;
+      failure.sample = documents;
+      failures.push_back(std::move(failure));
+    }
+  }
+  return failures;
+}
+
+std::vector<PropertyFailure> RunDatatypeProperty(
+    const PropertyOptions& options) {
+  // Early values of one type, then late values that break it (none for
+  // the families whose type holds).
+  struct Family {
+    std::vector<std::string> early;
+    std::vector<std::string> late;
+  };
+  static const std::vector<Family> kFamilies = {
+      {{"1", "0"}, {"2"}},                             // boolean → integer
+      {{"3", "-12", "+7"}, {"3.5"}},                   // integer → decimal
+      {{"2024-02-29", "1999-12-31"}, {"2023-02-29"}},  // date → string
+      {{"42", "7"}, {"word7"}},                        // digits → string
+      {{"true", "false", "1"}, {"yes"}},               // boolean → string
+      {{"1.5", ".5", "-2."}, {"."}},                   // decimal → string
+      {{"10", "11"}, {}},
+      {{"2006-09-12"}, {}},
+      {{"0", "true"}, {}},
+  };
+  static const char* const kSpace[] = {"", " ", "\n  ", "\t"};
+  std::vector<PropertyFailure> failures;
+  for (int i = 0; i < options.instances; ++i) {
+    uint64_t seed = InstanceSeed(options.seed, i);
+    Rng rng(seed);
+    const int num_elements = 1 + static_cast<int>(rng.NextBelow(4));
+    std::vector<const Family*> families;
+    for (int e = 0; e < num_elements; ++e) {
+      families.push_back(&kFamilies[rng.NextBelow(kFamilies.size())]);
+    }
+    // Up to 90 documents, so early values can outnumber any fixed
+    // sample of them; the last 1-3 carry the breaking values.
+    const int num_docs = 2 + static_cast<int>(rng.NextBelow(89));
+    const int late_from =
+        num_docs - 1 - static_cast<int>(rng.NextBelow(3));
+    auto pick = [&](const std::vector<std::string>& from) {
+      return from[rng.NextBelow(from.size())];
+    };
+    auto text_element = [&](const std::string& name,
+                            const std::string& value) {
+      return "<" + name + ">" + kSpace[rng.NextBelow(4)] + value +
+             kSpace[rng.NextBelow(4)] + "</" + name + ">";
+    };
+    std::vector<std::string> documents;
+    std::vector<std::string> rejected;
+    for (int d = 0; d < num_docs; ++d) {
+      const bool late = d >= late_from;
+      std::string xml = "<r>";
+      for (int e = 0; e < num_elements; ++e) {
+        const std::string name = "v" + std::to_string(e);
+        const Family& family = *families[e];
+        for (int k = static_cast<int>(rng.NextBelow(3)); k > 0; --k) {
+          if (rng.Bernoulli(0.15)) {
+            xml += "<" + name + "/>";  // an occurrence without text
+          } else {
+            xml += text_element(name, late && !family.late.empty()
+                                          ? pick(family.late)
+                                          : pick(family.early));
+          }
+        }
+      }
+      if (rng.Bernoulli(0.3)) {
+        // Mixed content: its text runs join around the child.
+        xml += "<m>" + std::to_string(d) + "<b/>" +
+               (late ? "x" : std::to_string(rng.NextBelow(10))) + "</m>";
+      }
+      xml += "</r>";
+      documents.push_back(std::move(xml));
+      // A document that breaks every type, then a dangling '<': rejected
+      // in strict and lenient mode alike.
+      rejected.push_back(
+          rng.Bernoulli(0.2)
+              ? "<r>" + text_element("v0", "rejected") + "<m>y<b/></m><"
+              : std::string());
+    }
+    OracleResult check = CheckDatatypes(documents, rejected, {});
+    if (!check.passed) {
+      PropertyFailure failure;
+      failure.learner = "datatypes";
+      failure.instance = i;
+      failure.seed = seed;
+      failure.oracle = "datatypes";
       failure.detail = check.detail;
       failure.sample = documents;
       failures.push_back(std::move(failure));
@@ -627,7 +713,6 @@ std::vector<PropertyFailure> RunIncrementalQueryProperty(
 
     InferenceOptions inference;
     inference.learner = rng.Bernoulli(0.25) ? "xtract" : "auto";
-    inference.max_text_samples = 1 + static_cast<int>(rng.NextBelow(4));
     std::error_code error;
     std::filesystem::path dir = std::filesystem::temp_directory_path(error) /
                                 ("condtd_incremental_" +

@@ -82,12 +82,22 @@ std::vector<PropertyFailure> RunMergeLawProperty(
 
 /// Ingestion-path property: random DTDs generate random document sets
 /// (half of the documents get a text-bearing element nested in a
-/// same-name copy; half are followed by a truncated, broken copy) under
-/// a random text-sample cap of 1–4. The streaming fold must reach the
-/// reference fold's SaveState byte for byte, the broken copies must
-/// leave no residue, and the sharded pipeline must infer the same DTD
+/// same-name copy; half are followed by a truncated, broken copy). The
+/// streaming fold must reach the reference fold's SaveState byte for
+/// byte, the broken copies must leave no residue, and the sharded
+/// pipeline must save the same state and infer the same DTD
 /// (CheckIngestionEquivalence).
 std::vector<PropertyFailure> RunIngestionProperty(
+    const PropertyOptions& options);
+
+/// Datatype property: random corpora of `<r>` documents whose text
+/// elements each draw a value family, such as `1`/`0` then `2`, `3` then
+/// `3.5`, `2024-02-29` then `2023-02-29`, or digits then a word, whose
+/// breaking values come only in the last documents. Values carry random
+/// surrounding whitespace, some occurrences carry no text, a mixed-content
+/// element mixes text and a child, and some documents are followed by a
+/// rejected one that carries a breaking value (CheckDatatypes).
+std::vector<PropertyFailure> RunDatatypeProperty(
     const PropertyOptions& options);
 
 /// Incremental-query property: random DTDs generate random traces of

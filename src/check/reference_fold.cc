@@ -1,11 +1,10 @@
 #include "check/reference_fold.h"
 
-#include <string>
 #include <vector>
 
-#include "base/strings.h"
 #include "infer/summary.h"
 #include "xml/parser.h"
+#include "xsd/writer.h"
 
 namespace condtd {
 
@@ -19,7 +18,7 @@ void ReferenceFoldDocument(const XmlDocument& doc, DtdInferrer* inferrer) {
   // Depth-first traversal collecting each element's child-name word.
   // Each name is interned immediately before its subtree is entered, so
   // the alphabet grows in document (start-tag) order; each word and
-  // text sample folds when its element is left (end-tag order).
+  // text value folds when its element is left (end-tag order).
   struct VisitFrame {
     const XmlElement* element;
     Symbol symbol;
@@ -53,9 +52,7 @@ void ReferenceFoldDocument(const XmlDocument& doc, DtdInferrer* inferrer) {
     ElementSummary& summary = store.Ensure(frame.symbol);
     if (frame.element->HasSignificantText()) {
       summary.has_text = true;
-      summary.AddTextSample(
-          std::string(StripWhitespace(frame.element->text())),
-          store.limits());
+      summary.text_types &= TextTypes(frame.element->text());
     }
     summary.AddChildWord(frame.word, 1, store.limits());
     stack.pop_back();

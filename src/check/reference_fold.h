@@ -13,8 +13,8 @@ namespace condtd {
 /// (StreamingFolder) is checked against. It materializes the document
 /// tree and folds one child word per element, one at a time — no dedup
 /// cache, no rollback journal, no per-document staging to get wrong.
-/// Names intern in start-tag order and text samples are taken at each
-/// element's end tag, the orders the streaming fold uses, so the two
+/// Names intern in start-tag order, and each element's word and text
+/// datatype fold at its end tag, as in the streaming fold, so the two
 /// reach byte-identical SaveState text (CheckIngestionEquivalence).
 /// A differential oracle only: production code folds through
 /// StreamingFolder.

@@ -50,14 +50,15 @@ namespace condtd {
 ///    reproduces the sequential interning order exactly (symbol ids are
 ///    the tie-breakers throughout the learners), and
 ///  * the learner pipeline is invariant to summary merge order — every
-///    ElementSummary field (SOA, CRX, the distinct-word reservoir) is
-///    associative under SummaryStore::MergeFrom, so the merge tree may
-///    combine shards in any shape; `Gfa::FromSoa` canonicalizes state
-///    numbering (see those classes).
-/// At one job the SaveState text also equals the sequential fold's. At
-/// more jobs each shard keeps its own first `max_text_samples` text
-/// snippets, so the merged SaveState, and the XSD simple-type picks on
-/// corpora with heterogeneous text, can differ; the DTD never does.
+///    ElementSummary field (SOA, CRX, the text datatype mask, the
+///    distinct-word reservoir) is associative under
+///    SummaryStore::MergeFrom, so the merge tree may combine shards in
+///    any shape; `Gfa::FromSoa` canonicalizes state numbering (see those
+///    classes).
+/// The XSD and the SaveState text are byte-identical too: the datatype
+/// mask is exact over the corpus, and SummaryStore::Save writes every
+/// list in symbol-id order. (A word reservoir that overflows keeps the
+/// words its shard saw first; learners refuse it.)
 ///
 /// Error model: per-document failures (open failures, parse errors and
 /// contained exceptions) never stop the pipeline; they are recorded

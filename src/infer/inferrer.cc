@@ -27,7 +27,6 @@ LearnOptions MakeLearnOptions(const InferenceOptions& options) {
 SummaryLimits MakeLimits(const InferenceOptions& options,
                          const Learner* learner) {
   SummaryLimits limits;
-  limits.max_text_samples = options.max_text_samples;
   // Reservoir headroom: max_strings + 2 keeps the ε word plus exactly
   // enough non-empty words for XtractInfer to report its own documented
   // over-budget failure; anything beyond trips the overflow flag.
@@ -173,7 +172,7 @@ ElementSchema DtdInferrer::InferElement(const ElementSummary& summary,
           AnnotateNumericFromHistograms(schema.model->regex, summary.crx);
     }
     if (summary.has_text) {
-      schema.xsd.text_type = InferSimpleType(summary.text_samples);
+      schema.xsd.text_type = SimpleTypeName(summary.text_types);
     }
   }
   return schema;

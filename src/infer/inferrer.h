@@ -41,9 +41,6 @@ struct InferenceOptions {
   /// Infer <!ATTLIST> declarations (#REQUIRED when an attribute occurs
   /// on every element occurrence).
   bool infer_attributes = true;
-  /// Maximum text samples retained per element for the XSD datatype
-  /// heuristic.
-  int max_text_samples = 64;
   /// Parse documents in tag-soup recovery mode (mismatched/stray/missing
   /// end tags are repaired instead of rejected) — for corpora like the
   /// paper's XHTML crawl where 89% of documents are not well-formed.
@@ -123,7 +120,7 @@ class DtdInferrer {
   /// "incremental computation": every summary is associative, so
   /// shard-local inferrers merge losslessly). Root counts, child marks,
   /// occurrence/attribute counts and per-element SOA/CRX summaries are
-  /// summed; text samples are concatenated up to `max_text_samples`.
+  /// summed; text datatype masks are ANDed.
   /// `other` must not alias this.
   void MergeFrom(const DtdInferrer& other);
 
@@ -175,9 +172,9 @@ class DtdInferrer {
   std::string SaveState() const;
 
   /// Merges a previously saved state into this inferrer. Safe to call
-  /// on a non-empty inferrer (supports merging shards); document text
-  /// samples for the XSD datatype heuristic are preserved. Accepts the
-  /// current format and the pre-reservoir version 1.
+  /// on a non-empty inferrer (supports merging shards); the text
+  /// datatypes for the XSD are preserved. Accepts the current format and
+  /// the earlier versions 1 and 2 (SummaryStore::Load).
   Status LoadState(std::string_view serialized);
 
  private:

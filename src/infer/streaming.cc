@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "automaton/two_t_inf.h"
-#include "base/strings.h"
 #include "obs/metrics.h"
 #include "xml/sax.h"
+#include "xsd/writer.h"
 
 namespace condtd {
 
@@ -56,14 +56,10 @@ void StreamingFolder::HandleText(std::string_view text) {
   Frame& frame = stack_[depth_ - 1];
   if (!frame.has_text) {
     frame.has_text = true;
-    // Collect the sample text only while the element is still under its
-    // committed-sample cap; a document in flight may overshoot by a few
-    // (the cap is re-checked at commit), which only wastes the copies.
+    // Once the committed mask is 0 no value can change the element's
+    // datatype, so its text is not collected.
     const ElementSummary* summary = FindState(frame.symbol);
-    int existing = summary == nullptr
-                       ? 0
-                       : static_cast<int>(summary->text_samples.size());
-    frame.collect_text = existing < store_->limits().max_text_samples;
+    frame.collect_text = summary == nullptr || summary->text_types != 0;
   }
   if (frame.collect_text) frame.text.append(text);
 }
@@ -71,22 +67,21 @@ void StreamingFolder::HandleText(std::string_view text) {
 void StreamingFolder::CompleteTop() {
   Frame& frame = stack_[depth_ - 1];
   ++words_folded_;
-  // Dense per-document occurrence aggregation: sum occurrences and
-  // has_text per symbol; only samples and attribute-bearing occurrences
+  // Dense per-document occurrence aggregation: sum occurrences, has_text
+  // and the datatype mask per symbol; only attribute-bearing occurrences
   // stage a per-occurrence record.
   const size_t idx = static_cast<size_t>(frame.symbol);
   if (idx >= doc_occurrences_.size()) {
     doc_occurrences_.resize(idx + 1, 0);
     doc_has_text_.resize(idx + 1, 0);
+    doc_text_types_.resize(idx + 1, kAllTextTypes);
   }
   if (doc_occurrences_[idx]++ == 0) doc_touched_.push_back(frame.symbol);
   if (frame.has_text) {
     doc_has_text_[idx] = 1;
-    if (frame.collect_text) {
-      doc_sample_records_.push_back(
-          {frame.symbol, static_cast<uint32_t>(doc_samples_.size())});
-      doc_samples_.push_back(arena_.Copy(StripWhitespace(frame.text)));
-    }
+    // Uncollected text belongs to a summary whose mask is already 0.
+    doc_text_types_[idx] &=
+        frame.collect_text ? TextTypes(frame.text) : uint8_t{0};
   }
   if (frame.attr_count > 0) {
     doc_attr_records_.push_back(
@@ -157,22 +152,18 @@ void StreamingFolder::CommitDocument() {
   ++documents_folded_;
   obs::CounterAdd(obs::Counter::kDocumentsIngested, 1);
   // One store touch per distinct symbol this document, not one per
-  // occurrence; occurrence sums and has_text are order-insensitive.
-  // Samples and attributes below only go to these symbols, so stamping
-  // them here covers every summary the commit writes.
+  // occurrence; occurrence sums, has_text and the datatype AND are
+  // order-insensitive. Attributes below only go to these symbols, so
+  // stamping them here covers every summary the commit writes.
   for (Symbol s : doc_touched_) {
     const size_t idx = static_cast<size_t>(s);
     ElementSummary& summary = EnsureState(s);
     store_->MarkChanged(s);
     summary.occurrences += doc_occurrences_[idx];
-    if (doc_has_text_[idx] != 0) summary.has_text = true;
-  }
-  // Samples keep per-occurrence records applied in end-tag order, so
-  // retention under the cap is the first samples by end tag.
-  for (const SampleRecord& record : doc_sample_records_) {
-    EnsureState(record.symbol)
-        .AddTextSample(std::string(doc_samples_[record.sample_index]),
-                       store_->limits());
+    if (doc_has_text_[idx] != 0) {
+      summary.has_text = true;
+      summary.text_types &= doc_text_types_[idx];
+    }
   }
   for (const AttrRecord& record : doc_attr_records_) {
     CountAttributes(record.attr_first, record.attr_count,
@@ -232,17 +223,13 @@ void StreamingFolder::ResetDocument() {
   for (Symbol s : doc_touched_) {
     doc_occurrences_[static_cast<size_t>(s)] = 0;
     doc_has_text_[static_cast<size_t>(s)] = 0;
+    doc_text_types_[static_cast<size_t>(s)] = kAllTextTypes;
   }
   doc_touched_.clear();
-  doc_sample_records_.clear();
   doc_attr_records_.clear();
   doc_contexts_.clear();
   context_symbols_.clear();
   attr_keys_.clear();
-  doc_samples_.clear();
-  obs::GaugeMax(obs::Gauge::kArenaBytesPeak,
-                static_cast<int64_t>(arena_.footprint()));
-  arena_.Reset();
   doc_new_children_.clear();
 }
 

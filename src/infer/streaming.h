@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "alphabet/alphabet.h"
-#include "base/arena.h"
 #include "base/status.h"
 #include "infer/inferrer.h"
 #include "infer/summary.h"
@@ -20,7 +19,8 @@ namespace condtd {
 
 /// Summaries keyed by vertical context: (element, parent), with parent
 /// kInvalidSymbol for a document root. The same ElementSummary bundle a
-/// SummaryStore keeps per element, split by the element's parent.
+/// SummaryStore keeps per element, split by the element's parent, but
+/// without text datatypes: `has_text` is kept, `text_types` is not.
 using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
 
 /// Streaming fold driver — the one way documents fold into a
@@ -31,7 +31,7 @@ using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
 /// allocation. An explicit stack of open frames accumulates each
 /// element's child-`Symbol` word (names interned directly into the
 /// inferrer's alphabet, in start-tag order); attribute and text handling
-/// is reduced to the counts and capped samples the summaries actually
+/// is reduced to the counts and datatype masks the summaries actually
 /// retain. Strict or tag-soup-lenient parsing follows the inferrer's
 /// `lenient_xml` option, with the DOM parser's error messages and its
 /// `kMaxElementDepth` nesting cap.
@@ -65,13 +65,15 @@ using ContextSummaries = std::map<std::pair<Symbol, Symbol>, ElementSummary>;
 /// document drops them with the rest of its state. A folder with no map attached pays
 /// one pointer test per element for this.
 ///
-/// Byte identity: text samples are taken at each element's end tag and
-/// cache entries flush in first-occurrence order, so the SaveState text
-/// equals that of the reference DOM-walk fold in src/check/ — the
-/// ingestion oracle checks it byte for byte, also for IngestEngine at
-/// one job. Only IngestEngine's shards at several jobs differ: each
-/// keeps its own first `max_text_samples` samples, so their merged
-/// SaveState (never the DTD) can differ on heterogeneous text.
+/// Text datatypes: an element's text is classified (TextTypes,
+/// xsd/writer.h) at its end tag and ANDed into a per-document mask,
+/// which the commit ANDs into the summary. Text is collected only while
+/// the summary's committed mask is non-zero, so an element whose values
+/// are already strings costs one byte test per occurrence.
+///
+/// Byte identity: the SaveState text equals that of the reference
+/// DOM-walk fold in src/check/, and that of IngestEngine at any job
+/// count — the ingestion oracle checks both byte for byte.
 class StreamingFolder {
  public:
   struct Options {
@@ -125,8 +127,8 @@ class StreamingFolder {
 
  private:
   /// An open element: accumulates the child word — and, incrementally,
-  /// its dedup hash — plus the text the summaries will retain. Frames
-  /// are pooled (depth_ marks the live prefix of stack_) so their
+  /// its dedup hash — plus its text while its datatype is still open.
+  /// Frames are pooled (depth_ marks the live prefix of stack_) so their
   /// Word/string capacity is reused across elements and documents.
   struct Frame {
     Symbol symbol = kInvalidSymbol;
@@ -141,13 +143,6 @@ class StreamingFolder {
     uint32_t attr_count = 0;
   };
 
-  /// A staged text sample for this document (end-tag order, matching the
-  /// order the commit loop used to add them one Completed record at a
-  /// time).
-  struct SampleRecord {
-    Symbol symbol = kInvalidSymbol;
-    uint32_t sample_index = 0;
-  };
   /// An attribute-bearing occurrence; kept separately so the commit loop
   /// only visits occurrences that actually carried attributes.
   struct AttrRecord {
@@ -206,27 +201,21 @@ class StreamingFolder {
   Symbol root_symbol_ = kInvalidSymbol;
   bool root_seen_ = false;
   std::vector<std::string_view> attr_keys_;  // views into the document
-  /// Whitespace-stripped text samples staged this document — views into
-  /// arena_, promoted to owned strings only for the few the summaries
-  /// actually retain at commit.
-  std::vector<std::string_view> doc_samples_;
-  /// Bump storage for doc_samples_; rewound between documents so
-  /// steady-state sample staging does no heap allocation.
-  Arena arena_;
   /// Reused across documents (Reset keeps scratch capacity), so lexing
   /// a corpus performs no per-document allocation either.
   SaxLexer lexer_;
   /// Dense per-document occurrence aggregation: instead of one staged
   /// record per completed element (the commit loop then paying an
-  /// EnsureState + increment per occurrence), occurrences and has_text
-  /// are summed per symbol during the parse and committed once per
-  /// distinct symbol. doc_touched_ lists the symbols with nonzero
-  /// counts, in first-completion order; samples and attribute-bearing
-  /// occurrences — the rare cases — keep per-occurrence records.
+  /// EnsureState + increment per occurrence), occurrences, has_text and
+  /// the text datatype mask are aggregated per symbol during the parse
+  /// and committed once per distinct symbol. doc_touched_ lists the
+  /// symbols with nonzero counts, in first-completion order;
+  /// attribute-bearing occurrences — the rare case — keep per-occurrence
+  /// records.
   std::vector<int64_t> doc_occurrences_;
   std::vector<uint8_t> doc_has_text_;
+  std::vector<uint8_t> doc_text_types_;
   std::vector<Symbol> doc_touched_;
-  std::vector<SampleRecord> doc_sample_records_;
   std::vector<AttrRecord> doc_attr_records_;
   /// One entry per word folded this document: the stable cache entry
   /// index whose count it incremented. Cleared on commit; decremented

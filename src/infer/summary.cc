@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "automaton/two_t_inf.h"
@@ -55,24 +56,12 @@ void FoldTally::Publish() const {
   }
 }
 
-void ElementSummary::AddTextSample(std::string sample,
-                                   const SummaryLimits& limits) {
-  if (static_cast<int>(text_samples.size()) < limits.max_text_samples) {
-    text_samples.push_back(std::move(sample));
-  }
-}
-
 void ElementSummary::MergeFrom(const ElementSummary& other,
                                const std::vector<Symbol>* remap,
                                const SummaryLimits& limits) {
   occurrences += other.occurrences;
   has_text = has_text || other.has_text;
-  for (const std::string& sample : other.text_samples) {
-    if (static_cast<int>(text_samples.size()) >= limits.max_text_samples) {
-      break;
-    }
-    text_samples.push_back(sample);
-  }
+  text_types &= other.text_types;
   for (const auto& [attr, count] : other.attribute_counts) {
     attribute_counts[attr] += count;
   }
@@ -174,24 +163,8 @@ void SummaryStore::MergeFrom(const SummaryStore& other,
 
 namespace {
 
-/// Percent-escaping for free text carried in the line-based state format
-/// (space, %, CR, LF).
-std::string EscapeText(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  static const char* kHex = "0123456789ABCDEF";
-  for (unsigned char c : text) {
-    if (c == ' ' || c == '%' || c == '\n' || c == '\r') {
-      out += '%';
-      out += kHex[c >> 4];
-      out += kHex[c & 0xF];
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
+/// Reverses the percent-escaping (space, %, CR, LF) of the text samples
+/// that format versions 1 and 2 carry.
 std::string UnescapeText(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -215,7 +188,7 @@ std::string UnescapeText(const std::string& text) {
 }  // namespace
 
 std::string SummaryStore::Save(const Alphabet& alphabet) const {
-  std::string out = "condtd-state 2\n";
+  std::string out = "condtd-state 3\n";
   auto name = [&](Symbol s) -> const std::string& { return alphabet.Name(s); };
   for (const auto& [symbol, count] : root_counts_) {
     out += "root " + name(symbol) + " " + std::to_string(count) + "\n";
@@ -231,11 +204,19 @@ std::string SummaryStore::Save(const Alphabet& alphabet) const {
     for (const auto& [attr, count] : summary.attribute_counts) {
       out += "attr " + attr + " " + std::to_string(count) + "\n";
     }
-    for (const std::string& sample : summary.text_samples) {
-      out += "text " + EscapeText(sample) + "\n";
+    if (summary.has_text) {
+      out += "text.types " + std::to_string(summary.text_types) + "\n";
     }
+    // States, and each state's edges, in symbol-id order rather than the
+    // fold's first-occurrence numbering, which differs between shards.
     const Soa& soa = summary.soa;
-    for (int q = 0; q < soa.NumStates(); ++q) {
+    auto by_label = [&soa](int q, int r) {
+      return soa.LabelOf(q) < soa.LabelOf(r);
+    };
+    std::vector<int> states(soa.NumStates());
+    std::iota(states.begin(), states.end(), 0);
+    std::sort(states.begin(), states.end(), by_label);
+    for (int q : states) {
       out += "soa.state " + name(soa.LabelOf(q)) + " " +
              std::to_string(soa.StateSupport(q)) + "\n";
       if (soa.IsInitial(q)) {
@@ -246,7 +227,9 @@ std::string SummaryStore::Save(const Alphabet& alphabet) const {
         out += "soa.final " + name(soa.LabelOf(q)) + " " +
                std::to_string(soa.FinalSupport(q)) + "\n";
       }
-      for (int to : soa.Successors(q)) {
+      std::vector<int> successors = soa.Successors(q);
+      std::sort(successors.begin(), successors.end(), by_label);
+      for (int to : successors) {
         out += "soa.edge " + name(soa.LabelOf(q)) + " " +
                name(soa.LabelOf(to)) + " " +
                std::to_string(soa.EdgeSupport(q, to)) + "\n";
@@ -299,11 +282,13 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       version = 1;
     } else if (lines[0] == "condtd-state 2") {
       version = 2;
+    } else if (lines[0] == "condtd-state 3") {
+      version = 3;
     } else if (lines[0].rfind("condtd-state ", 0) == 0) {
       return Status::ParseError(
           "state file format version " +
           lines[0].substr(std::string("condtd-state ").size()) +
-          " is not supported by this build (supported: 1, 2)");
+          " is not supported by this build (supported: 1, 2, 3)");
     }
   }
   if (version == 0) {
@@ -327,7 +312,15 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
   // may merge into a store that already holds this element.
   std::map<std::pair<Symbol, Symbol>, size_t> soa_edge_lines;
   std::map<std::pair<Symbol, Symbol>, size_t> crx_edge_lines;
+  // Whether the section's element line says it has text. Only such a
+  // section carries a datatype line (text.types, or version 1/2 text
+  // samples); one that carries none leaves its values unknown, so its
+  // mask is 0, the xs:string that an empty sample list always gave.
+  bool section_text = false;
+  bool untyped_text = false;
   auto close_section = [&]() {
+    if (untyped_text) current->text_types = 0;
+    untyped_text = false;
     auto unmatched = [&](const auto& lines_of, const auto& other,
                          const char* tag, const char* other_tag) {
       for (const auto& [edge, line] : lines_of) {
@@ -422,12 +415,14 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
           fits(current->occurrences, occurrences, INT64_MAX));
       current->occurrences += occurrences;
       current->has_text = current->has_text || fields[3] == "1";
+      section_text = fields[3] == "1";
+      untyped_text = section_text;
       // A version-1 file cannot carry the reservoir, so summaries loaded
       // from it can never satisfy a needs-full-words learner.
       if (version == 1) current->words_complete = false;
-      // Create the SOA states in the order of their soa.state lines (the
-      // saver's state numbering) before an edge line can create a
-      // successor state ahead of its turn.
+      // Create the SOA states in the order of their soa.state lines
+      // (symbol-id order, as Save writes them) before an edge line can
+      // create a successor state ahead of its turn.
       for (size_t j = i + 1; j < lines.size() && lines[j] != "end" &&
                              !StartsWith(lines[j], "element ");
            ++j) {
@@ -450,12 +445,29 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
       int64_t& total = current->attribute_counts[fields[1]];
       CONDTD_RETURN_IF_ERROR(fits(total, count, INT64_MAX));
       total += count;
-    } else if (tag == "text") {
+    } else if (tag == "text" && version < 3) {
       CONDTD_RETURN_IF_ERROR(require(2));
-      if (static_cast<int>(current->text_samples.size()) <
-          limits_.max_text_samples) {
-        current->text_samples.push_back(UnescapeText(fields[1]));
+      // A sample in a section without text never named a type.
+      if (section_text) {
+        current->text_types &= TextTypes(UnescapeText(fields[1]));
+        untyped_text = false;
       }
+    } else if (tag == "text.types" && version >= 3) {
+      CONDTD_RETURN_IF_ERROR(require(2));
+      if (!section_text) {
+        return Status::ParseError("state line " + std::to_string(i + 1) +
+                                  ": text.types in a section without text");
+      }
+      int64_t types;
+      CONDTD_RETURN_IF_ERROR(count64(fields[1], &types));
+      if (types > kAllTextTypes) {
+        return Status::ParseError("state line " + std::to_string(i + 1) +
+                                  ": text.types " + fields[1] +
+                                  " is not a datatype mask (0-" +
+                                  std::to_string(kAllTextTypes) + ")");
+      }
+      current->text_types &= static_cast<uint8_t>(types);
+      untyped_text = false;
     } else if (tag == "soa.state") {
       CONDTD_RETURN_IF_ERROR(require(3));
       int32_t support;
@@ -572,8 +584,6 @@ Status SummaryStore::Load(std::string_view serialized, Alphabet* alphabet) {
 size_t ElementSummary::ApproxBytes() const {
   size_t bytes = sizeof(*this);
   bytes += soa.ApproxBytes() + crx.ApproxBytes();
-  bytes += VectorBytes(text_samples);
-  for (const std::string& sample : text_samples) bytes += StringBytes(sample);
   bytes += TreeBytes(attribute_counts);
   for (const auto& [name, count] : attribute_counts) {
     (void)count;

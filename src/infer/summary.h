@@ -14,6 +14,7 @@
 #include "automaton/soa.h"
 #include "base/status.h"
 #include "crx/crx.h"
+#include "xsd/writer.h"
 
 namespace condtd {
 
@@ -22,9 +23,6 @@ namespace condtd {
 /// passed into the fold/merge operations so the summary itself stays a
 /// plain value type.
 struct SummaryLimits {
-  /// Maximum text samples retained per element for the XSD datatype
-  /// heuristic.
-  int max_text_samples = 64;
   /// Capacity of the per-element distinct-word reservoir consumed by
   /// learners with `needs_full_words()` (XTRACT). 0 disables the
   /// reservoir entirely — the default, so summary-only pipelines pay
@@ -52,7 +50,10 @@ struct ElementSummary {
   /// Element occurrence count (== number of child words folded).
   int64_t occurrences = 0;
   bool has_text = false;
-  std::vector<std::string> text_samples;
+  /// The XSD datatypes every text value of this element satisfies:
+  /// TextTypes bits (xsd/writer.h) ANDed over all of them, every bit
+  /// until the first. Exact over the corpus, and merged with AND.
+  uint8_t text_types = kAllTextTypes;
   /// std::less<> so the streaming fold can probe with the string_view
   /// attribute keys it holds into the document.
   std::map<std::string, int64_t, std::less<>> attribute_counts;
@@ -86,21 +87,18 @@ struct ElementSummary {
   /// The reservoir step of AddChildWord.
   void RetainWord(const Word& word, const SummaryLimits& limits);
 
-  /// Appends a text sample if the cap allows.
-  void AddTextSample(std::string sample, const SummaryLimits& limits);
-
   /// Merges `other` into this summary (sums counts, unions the SOA/CRX
-  /// summaries and the word reservoir, concatenates text samples up to
-  /// the cap). When `remap` is non-null, `other`'s symbols are first
-  /// translated through it (indexed by the other alphabet's ids).
+  /// summaries and the word reservoir, ANDs the text datatypes). When
+  /// `remap` is non-null, `other`'s symbols are first translated
+  /// through it (indexed by the other alphabet's ids).
   /// `other` must not alias this.
   void MergeFrom(const ElementSummary& other,
                  const std::vector<Symbol>* remap,
                  const SummaryLimits& limits);
 
-  /// Rough resident bytes of this summary (SOA + CRX + samples +
-  /// attribute counts + word reservoir; see base/mem_estimate.h for the
-  /// estimation contract).
+  /// Rough resident bytes of this summary (SOA + CRX + attribute counts
+  /// + word reservoir; see base/mem_estimate.h for the estimation
+  /// contract).
   size_t ApproxBytes() const;
 };
 
@@ -187,13 +185,18 @@ class SummaryStore {
   /// Serializes the store into the line-based state format (versioned
   /// header; see docs/STATE_FORMAT.md), realizing Section 9's "store the
   /// internal graph representation and forget the XML data". Symbol
-  /// references are by name via `alphabet`.
+  /// references are by name via `alphabet`. Every list is written in
+  /// symbol-id order (an element's SOA states, and each state's edges,
+  /// by their target's id), so the bytes do not depend on fold or merge
+  /// order.
   std::string Save(const Alphabet& alphabet) const;
 
   /// Merges a previously saved state into this store, interning names
-  /// into `alphabet`. Accepts format versions 1 (pre-reservoir) and 2;
-  /// anything else fails with a clear message. Version-1 summaries are
-  /// marked words-incomplete since the file cannot carry a reservoir.
+  /// into `alphabet`. Accepts format versions 1 (pre-reservoir), 2 (text
+  /// samples) and 3; anything else fails with a clear message.
+  /// Version-1 summaries are marked words-incomplete since the file
+  /// cannot carry a reservoir; version-1 and -2 text samples are
+  /// classified into the datatype mask.
   Status Load(std::string_view serialized, Alphabet* alphabet);
 
   /// Rough resident bytes of the whole store: the sum of the per-element

@@ -256,46 +256,40 @@ void WriteXsdAttributes(const std::vector<Dtd::AttributeDef>& attributes,
   }
 }
 
-std::string InferSimpleType(const std::vector<std::string>& samples) {
-  if (samples.empty()) return "xs:string";
-  bool all_int = true;
-  bool all_decimal = true;
-  bool all_date = true;
-  bool all_bool = true;
-  for (const std::string& raw : samples) {
-    std::string_view text = StripWhitespace(raw);
-    if (text.empty()) {
-      all_int = all_decimal = all_date = all_bool = false;
+uint8_t TextTypes(std::string_view value) {
+  std::string_view text = StripWhitespace(value);
+  if (text.empty()) return 0;
+  uint8_t types = 0;
+  if (text == "true" || text == "false" || text == "0" || text == "1") {
+    types |= kTextBoolean;
+  }
+  // integer / decimal: an optional sign, then digits with at most one
+  // dot, and at least one digit.
+  size_t i = text[0] == '+' || text[0] == '-' ? 1 : 0;
+  int digits = 0;
+  int dots = 0;
+  for (; i < text.size(); ++i) {
+    if (text[i] == '.') {
+      ++dots;
+    } else if (std::isdigit(static_cast<unsigned char>(text[i]))) {
+      ++digits;
+    } else {
       break;
     }
-    // boolean
-    if (!(text == "true" || text == "false" || text == "0" || text == "1")) {
-      all_bool = false;
-    }
-    // integer / decimal: an optional sign, then digits with at most one
-    // dot, and at least one digit.
-    size_t i = 0;
-    if (text[0] == '+' || text[0] == '-') i = 1;
-    int digits = 0;
-    int dots = 0;
-    bool other = false;
-    for (size_t j = i; j < text.size(); ++j) {
-      if (text[j] == '.') {
-        ++dots;
-      } else if (std::isdigit(static_cast<unsigned char>(text[j]))) {
-        ++digits;
-      } else {
-        other = true;
-      }
-    }
-    if (other || digits == 0 || dots > 0) all_int = false;
-    if (other || digits == 0 || dots > 1) all_decimal = false;
-    if (!IsCalendarDate(text)) all_date = false;
   }
-  if (all_bool) return "xs:boolean";
-  if (all_int) return "xs:integer";
-  if (all_decimal) return "xs:decimal";
-  if (all_date) return "xs:date";
+  if (i == text.size() && digits > 0) {
+    if (dots == 0) types |= kTextInteger;
+    if (dots <= 1) types |= kTextDecimal;
+  }
+  if (IsCalendarDate(text)) types |= kTextDate;
+  return types;
+}
+
+std::string_view SimpleTypeName(uint8_t types) {
+  if (types & kTextBoolean) return "xs:boolean";
+  if (types & kTextInteger) return "xs:integer";
+  if (types & kTextDecimal) return "xs:decimal";
+  if (types & kTextDate) return "xs:date";
   return "xs:string";
 }
 

@@ -1,9 +1,11 @@
 #ifndef CONDTD_XSD_WRITER_H_
 #define CONDTD_XSD_WRITER_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,11 +68,27 @@ void WriteXsdAttributes(const std::vector<Dtd::AttributeDef>& attributes,
 std::string WriteXsd(const Dtd& dtd, const Alphabet& alphabet,
                      const std::map<Symbol, XsdElementExtras>& extras = {});
 
-/// Section 9's datatype heuristic: inspects sample text values and
-/// returns "xs:integer", "xs:decimal", "xs:date", "xs:boolean" or
-/// "xs:string". A decimal needs at least one digit, and a date
-/// (YYYY-MM-DD) must name a day that exists.
-std::string InferSimpleType(const std::vector<std::string>& samples);
+/// Section 9's datatype heuristic as a bit mask: the built-in simple
+/// types a text value satisfies. A summary ANDs the masks of all its
+/// values, so the result is exact over a corpus and merges associatively.
+enum TextTypeBit : uint8_t {
+  kTextBoolean = 1,  ///< true, false, 0 or 1
+  kTextInteger = 2,  ///< an optional sign, then digits
+  kTextDecimal = 4,  ///< as integer, with at most one dot
+  kTextDate = 8,     ///< YYYY-MM-DD naming a day that exists
+};
+/// Every bit: the mask of a summary that has seen no text value yet.
+inline constexpr uint8_t kAllTextTypes =
+    kTextBoolean | kTextInteger | kTextDecimal | kTextDate;
+
+/// The types `value`, whitespace-stripped, satisfies. A decimal needs at
+/// least one digit, and a date must name a day that exists (February 29
+/// only in leap years). An empty value satisfies none.
+uint8_t TextTypes(std::string_view value);
+
+/// The type a mask declares: its first bit in the order boolean,
+/// integer, decimal, date, or "xs:string" with no bit set.
+std::string_view SimpleTypeName(uint8_t types);
 
 }  // namespace condtd
 

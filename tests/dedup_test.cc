@@ -313,9 +313,9 @@ TEST(DedupDifferential, RejectedDocumentsLeaveNoResidue) {
   for (size_t d = 0; d < documents.size(); ++d) {
     // Truncation of the document folded right before it, mid-way with a
     // dangling '<' — always a parse error, deep enough that completed
-    // elements have hit the cache, and introducing no words the clean
-    // document did not already insert (a rolled-back novel word would
-    // legitimately shift flush order; see CheckIngestionEquivalence).
+    // elements have hit the cache, and interning no names the clean
+    // document did not already intern (a new name would legitimately
+    // shift the symbol ids; see CheckIngestionEquivalence).
     broken.push_back(d % 2 == 0 ? documents[d].substr(
                                       0, documents[d].size() / 2) + "<"
                                 : std::string());

@@ -225,6 +225,52 @@ TEST(ParallelInferrer, ShardedIngestionIsByteIdenticalToSequential) {
   }
 }
 
+TEST(ParallelInferrer, StateAndXsdAreByteIdenticalAtAnyJobCount) {
+  // Beyond the DTD: the saved state and the XSD's datatypes too. The
+  // second corpus's `v` values are integers for 100 documents and words
+  // after, so a type taken from the first values would say xs:integer.
+  std::vector<std::string> numbers_then_words;
+  for (int i = 0; i < 200; ++i) {
+    numbers_then_words.push_back(
+        "<r><v>" + (i < 100 ? std::to_string(i) : "word" + std::to_string(i)) +
+        "</v></r>");
+  }
+  for (const std::vector<std::string>& documents :
+       {GenerateCorpus(120, 8128), numbers_then_words}) {
+    IngestEngine sequential(JobsOptions(1));
+    for (const std::string& doc : documents) sequential.AddXml(doc);
+    ASSERT_TRUE(sequential.Finish().ok());
+    const std::string state = sequential.inferrer().SaveState();
+    const std::string xsd = sequential.inferrer().InferXsd().value();
+    for (int jobs : {2, 3, 7}) {
+      for (int batch : {1, 8}) {
+        InferenceOptions options;
+        options.batch_docs = batch;
+        IngestEngine engine(JobsOptions(jobs, options));
+        for (const std::string& doc : documents) engine.AddXml(doc);
+        ASSERT_TRUE(engine.Finish().ok());
+        EXPECT_EQ(engine.inferrer().SaveState(), state)
+            << "jobs " << jobs << " batch " << batch;
+        EXPECT_EQ(engine.inferrer().InferXsd(jobs).value(), xsd)
+            << "jobs " << jobs << " batch " << batch;
+      }
+    }
+    // Save, load, save: the loader keeps the canonical order.
+    DtdInferrer restored;
+    ASSERT_TRUE(restored.LoadState(state).ok());
+    EXPECT_EQ(restored.SaveState(), state);
+    EXPECT_EQ(restored.InferXsd().value(), xsd);
+  }
+  DtdInferrer words;
+  for (const std::string& doc : numbers_then_words) {
+    ASSERT_TRUE(words.AddXml(doc).ok());
+  }
+  const std::string xsd = words.InferXsd().value();
+  EXPECT_NE(xsd.find("<xs:element name=\"v\" type=\"xs:string\"/>"),
+            std::string::npos)
+      << xsd;
+}
+
 TEST(ParallelInferrer, DeterministicForAnyDocumentOrder) {
   std::vector<std::string> documents = GenerateCorpus(180, 4711);
   // A permuted corpus must again match its own sequential run (the

@@ -195,11 +195,12 @@ TEST(StatePersistence, SaveLoadRoundTripsTheDtd) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(WriteDtd(a.value(), *original.alphabet()),
               WriteDtd(b.value(), *restored.alphabet()));
-    // XSD output (numeric predicates + datatypes from text samples) also
-    // survives.
+    // XSD output (numeric predicates + datatypes from the text masks)
+    // also survives.
     EXPECT_EQ(original.InferXsd().value(), restored.InferXsd().value());
     // And the state re-serializes identically (canonical form): the
-    // loader keeps the saver's symbol and SOA state numbering.
+    // loader keeps the saver's symbol numbering, and Save lists SOA
+    // states in symbol-id order.
     EXPECT_EQ(restored.SaveState(), state);
   }
 }
@@ -256,13 +257,235 @@ TEST(StatePersistence, RejectsCorruptedInput) {
           .ok());
 }
 
-TEST(StatePersistence, TextSamplesSurviveEscaping) {
+TEST(StatePersistence, DatatypeMasksRoundTrip) {
   DtdInferrer first;
-  ASSERT_TRUE(
-      first.AddXml("<r><t>hello world 100% \n ok</t></r>").ok());
+  ASSERT_TRUE(first
+                  .AddXml("<r><t>hello world 100% \n ok</t><n> 42 </n>"
+                          "<d>2024-02-29</d><e/></r>")
+                  .ok());
+  ASSERT_TRUE(first.AddXml("<r><n>-7</n><d>1999-12-31</d></r>").ok());
+  const std::string saved = first.SaveState();
+  // Version 3 keeps one mask per element with text, and no text.
+  EXPECT_EQ(saved.rfind("condtd-state 3\n", 0), 0u) << saved;
+  EXPECT_NE(saved.find("element t 1 1\ntext.types 0\n"), std::string::npos)
+      << saved;
+  EXPECT_NE(saved.find("element n 2 1\ntext.types 6\n"), std::string::npos)
+      << saved;
+  EXPECT_NE(saved.find("element d 2 1\ntext.types 8\n"), std::string::npos)
+      << saved;
+  EXPECT_EQ(saved.find("element e 1 0\ntext.types"), std::string::npos)
+      << saved;
+  EXPECT_EQ(saved.find("\ntext "), std::string::npos) << saved;
   DtdInferrer second;
-  ASSERT_TRUE(second.LoadState(first.SaveState()).ok());
-  EXPECT_EQ(second.SaveState(), first.SaveState());
+  ASSERT_TRUE(second.LoadState(saved).ok());
+  EXPECT_EQ(second.SaveState(), saved);
+  const std::string xsd = first.InferXsd().value();
+  EXPECT_EQ(second.InferXsd().value(), xsd);
+  EXPECT_NE(xsd.find("<xs:element name=\"t\" type=\"xs:string\"/>"),
+            std::string::npos)
+      << xsd;
+  EXPECT_NE(xsd.find("<xs:element name=\"n\" type=\"xs:integer\"/>"),
+            std::string::npos)
+      << xsd;
+  EXPECT_NE(xsd.find("<xs:element name=\"d\" type=\"xs:date\"/>"),
+            std::string::npos)
+      << xsd;
+}
+
+TEST(StatePersistence, RejectsTextTypesOutsideTheMask) {
+  DtdInferrer inferrer;
+  Status status = inferrer.LoadState(
+      "condtd-state 3\nelement e 1 1\ntext.types 16\nend\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.ToString().find("text.types 16"), std::string::npos)
+      << status.ToString();
+  for (const char* bad : {
+           "condtd-state 3\nelement e 1 1\ntext.types -1\nend\n",
+           "condtd-state 3\nelement e 1 1\ntext.types x\nend\n",
+           "condtd-state 3\nelement e 1 1\ntext.types\nend\n",
+           "condtd-state 3\nelement e 1 0\ntext.types 6\nend\n",
+           // Each version carries only its own form of the datatypes.
+           "condtd-state 3\nelement e 1 1\ntext 42\nend\n",
+           "condtd-state 2\nelement e 1 1\ntext.types 6\nend\n",
+       }) {
+    DtdInferrer fresh;
+    EXPECT_FALSE(fresh.LoadState(bad).ok()) << bad;
+  }
+  DtdInferrer in_range;
+  ASSERT_TRUE(in_range
+                  .LoadState("condtd-state 3\nelement e 1 1\n"
+                             "text.types 15\nend\n")
+                  .ok());
+}
+
+// A state file saved by the format-2 engine, verbatim: it carries up to
+// 64 text samples per element instead of a datatype mask. It was
+// produced from:
+//   <shop><item sku="1"><name>alpha</name><qty>9</qty><price>1.5</price>
+//     <flag>true</flag><day>2024-02-29</day></item></shop>
+//   <shop><item sku="2"><name>b c</name><qty> 12 </qty><price>2</price>
+//     <flag>0</flag><day>1999-12-31</day><note>hi there 100%</note>
+//     </item><item><name>d</name><qty>-3</qty></item></shop>
+constexpr char kVersion2State[] =
+    "condtd-state 2\n"
+    "root shop 2\n"
+    "child item\n"
+    "child name\n"
+    "child qty\n"
+    "child price\n"
+    "child flag\n"
+    "child day\n"
+    "child note\n"
+    "element shop 2 0\n"
+    "soa.state item 3\n"
+    "soa.init item 2\n"
+    "soa.final item 2\n"
+    "soa.edge item item 1\n"
+    "crx.edge item item\n"
+    "crx.hist 1 item=1\n"
+    "crx.hist 1 item=2\n"
+    "words.incomplete\n"
+    "element item 3 0\n"
+    "attr sku 2\n"
+    "soa.state name 3\n"
+    "soa.init name 3\n"
+    "soa.edge name qty 3\n"
+    "soa.state qty 3\n"
+    "soa.final qty 1\n"
+    "soa.edge qty price 2\n"
+    "soa.state price 2\n"
+    "soa.edge price flag 2\n"
+    "soa.state flag 2\n"
+    "soa.edge flag day 2\n"
+    "soa.state day 2\n"
+    "soa.final day 1\n"
+    "soa.edge day note 1\n"
+    "soa.state note 1\n"
+    "soa.final note 1\n"
+    "crx.edge name qty\n"
+    "crx.edge qty price\n"
+    "crx.edge price flag\n"
+    "crx.edge flag day\n"
+    "crx.edge day note\n"
+    "crx.hist 1 name=1 qty=1\n"
+    "crx.hist 1 name=1 qty=1 price=1 flag=1 day=1\n"
+    "crx.hist 1 name=1 qty=1 price=1 flag=1 day=1 note=1\n"
+    "words.incomplete\n"
+    "element name 3 1\n"
+    "text alpha\n"
+    "text b%20c\n"
+    "text d\n"
+    "soa.empty 3\n"
+    "crx.empty 3\n"
+    "words.incomplete\n"
+    "element qty 3 1\n"
+    "text 9\n"
+    "text 12\n"
+    "text -3\n"
+    "soa.empty 3\n"
+    "crx.empty 3\n"
+    "words.incomplete\n"
+    "element price 2 1\n"
+    "text 1.5\n"
+    "text 2\n"
+    "soa.empty 2\n"
+    "crx.empty 2\n"
+    "words.incomplete\n"
+    "element flag 2 1\n"
+    "text true\n"
+    "text 0\n"
+    "soa.empty 2\n"
+    "crx.empty 2\n"
+    "words.incomplete\n"
+    "element day 2 1\n"
+    "text 2024-02-29\n"
+    "text 1999-12-31\n"
+    "soa.empty 2\n"
+    "crx.empty 2\n"
+    "words.incomplete\n"
+    "element note 1 1\n"
+    "text hi%20there%20100%25\n"
+    "soa.empty 1\n"
+    "crx.empty 1\n"
+    "words.incomplete\n"
+    "end\n";
+
+TEST(StatePersistence, Version2TextSamplesGiveTheFormat2Xsd) {
+  // `condtd infer --state-in --xsd` of the format-2 engine on
+  // kVersion2State printed exactly this.
+  constexpr char kFormat2Xsd[] =
+      "<?xml version=\"1.0\"?>\n"
+      "<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n"
+      "  <xs:element name=\"shop\">\n"
+      "    <xs:complexType>\n"
+      "      <xs:sequence>\n"
+      "        <xs:element ref=\"item\" maxOccurs=\"unbounded\"/>\n"
+      "      </xs:sequence>\n"
+      "    </xs:complexType>\n"
+      "  </xs:element>\n"
+      "  <xs:element name=\"item\">\n"
+      "    <xs:complexType>\n"
+      "      <xs:sequence>\n"
+      "        <xs:element ref=\"name\"/>\n"
+      "        <xs:element ref=\"qty\"/>\n"
+      "        <xs:element ref=\"price\" minOccurs=\"0\"/>\n"
+      "        <xs:element ref=\"flag\" minOccurs=\"0\"/>\n"
+      "        <xs:element ref=\"day\" minOccurs=\"0\"/>\n"
+      "        <xs:element ref=\"note\" minOccurs=\"0\"/>\n"
+      "      </xs:sequence>\n"
+      "      <xs:attribute name=\"sku\" type=\"xs:string\"/>\n"
+      "    </xs:complexType>\n"
+      "  </xs:element>\n"
+      "  <xs:element name=\"name\" type=\"xs:string\"/>\n"
+      "  <xs:element name=\"qty\" type=\"xs:integer\"/>\n"
+      "  <xs:element name=\"price\" type=\"xs:decimal\"/>\n"
+      "  <xs:element name=\"flag\" type=\"xs:boolean\"/>\n"
+      "  <xs:element name=\"day\" type=\"xs:date\"/>\n"
+      "  <xs:element name=\"note\" type=\"xs:string\"/>\n"
+      "</xs:schema>\n";
+  DtdInferrer inferrer;
+  ASSERT_TRUE(inferrer.LoadState(kVersion2State).ok());
+  Result<std::string> xsd = inferrer.InferXsd();
+  ASSERT_TRUE(xsd.ok()) << xsd.status().ToString();
+  EXPECT_EQ(*xsd, kFormat2Xsd);
+  // Re-saved, the samples are masks.
+  const std::string saved = inferrer.SaveState();
+  EXPECT_EQ(saved.rfind("condtd-state 3\n", 0), 0u) << saved;
+  EXPECT_NE(saved.find("element qty 3 1\ntext.types 6\n"), std::string::npos)
+      << saved;
+  EXPECT_EQ(saved.find("\ntext "), std::string::npos) << saved;
+}
+
+TEST(StatePersistence, Version2SamplesAreUnescapedBeforeClassifying) {
+  // Escaped whitespace around a number strips away; a section that says
+  // it has text but carries no sample is a string, as an empty sample
+  // list always was.
+  DtdInferrer inferrer;
+  ASSERT_TRUE(inferrer
+                  .LoadState("condtd-state 2\n"
+                             "element r 1 0\n"
+                             "soa.state n 1\nsoa.init n 1\n"
+                             "soa.edge n b 1\n"
+                             "soa.state b 1\nsoa.final b 1\n"
+                             "crx.edge n b\n"
+                             "crx.hist 1 n=1 b=1\n"
+                             "element n 1 1\n"
+                             "text %2042%0A\n"
+                             "soa.empty 1\ncrx.empty 1\n"
+                             "element b 1 1\n"
+                             "soa.empty 1\ncrx.empty 1\n"
+                             "end\n")
+                  .ok());
+  const std::string xsd = inferrer.InferXsd().value();
+  EXPECT_NE(xsd.find("<xs:element name=\"n\" type=\"xs:integer\"/>"),
+            std::string::npos)
+      << xsd;
+  EXPECT_NE(xsd.find("<xs:element name=\"b\" type=\"xs:string\"/>"),
+            std::string::npos)
+      << xsd;
+  EXPECT_NE(inferrer.SaveState().find("element b 1 1\ntext.types 0\n"),
+            std::string::npos);
 }
 
 // --- format versioning ----------------------------------------------------
@@ -352,13 +575,13 @@ TEST(StatePersistence, Version1SummariesAreMarkedWordsIncomplete) {
 
 TEST(StatePersistence, RejectsUnsupportedFutureVersion) {
   DtdInferrer inferrer;
-  Status status = inferrer.LoadState("condtd-state 3\nend\n");
+  Status status = inferrer.LoadState("condtd-state 4\nend\n");
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find(
-                "state file format version 3 is not supported"),
+                "state file format version 4 is not supported"),
             std::string::npos)
       << status.ToString();
-  EXPECT_NE(status.ToString().find("supported: 1, 2"), std::string::npos)
+  EXPECT_NE(status.ToString().find("supported: 1, 2, 3"), std::string::npos)
       << status.ToString();
 }
 
@@ -369,8 +592,8 @@ TEST(StatePersistence, ReservoirStateRoundTripsCanonically) {
   ASSERT_TRUE(first.AddXml("<r><x/><y/><x/></r>").ok());
   ASSERT_TRUE(first.AddXml("<r><x/></r>").ok());
   std::string saved = first.SaveState();
-  // The current format is version 2 and carries the reservoir.
-  EXPECT_EQ(saved.rfind("condtd-state 2\n", 0), 0u) << saved;
+  // The current format is version 3 and carries the reservoir.
+  EXPECT_EQ(saved.rfind("condtd-state 3\n", 0), 0u) << saved;
   EXPECT_NE(saved.find("\nword "), std::string::npos) << saved;
   DtdInferrer second(options);
   ASSERT_TRUE(second.LoadState(saved).ok());

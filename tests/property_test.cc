@@ -2,8 +2,8 @@
 // against hundreds of random target expressions and checked against the
 // invariant oracles of src/check (sample inclusion, one-unambiguity,
 // SORE/CHARE validity, the Theorem 1/2 language guarantees), plus the
-// merge-algebra, ingestion-equivalence, incremental-query and DTD
-// round-trip properties.
+// merge-algebra, ingestion-equivalence, datatype, incremental-query and
+// DTD round-trip properties.
 //
 // Every failure prints a one-line reproduction recipe; re-run with
 // CONDTD_PROPERTY_SEED=<printed seed> to replay the failing instance as
@@ -26,6 +26,7 @@ constexpr int kInterleavingInstances = 250;  // two learners per instance
 constexpr int kMergeLawInstances = 200;
 constexpr int kRoundTripInstances = 300;
 constexpr int kIngestionInstances = 120;
+constexpr int kDatatypeInstances = 100;
 constexpr int kIncrementalQueryInstances = 200;
 
 PropertyOptions BaseOptions(int instances) {
@@ -96,6 +97,12 @@ TEST(AlgebraProperty, MergeLaws) {
 
 TEST(AlgebraProperty, IngestionEquivalence) {
   ExpectNoFailures(RunIngestionProperty(BaseOptions(kIngestionInstances)));
+}
+
+// Values that break an element's early type late: the XSD must declare
+// a type every value satisfies, the same at jobs 1, 2 and 7.
+TEST(AlgebraProperty, Datatypes) {
+  ExpectNoFailures(RunDatatypeProperty(BaseOptions(kDatatypeInstances)));
 }
 
 TEST(AlgebraProperty, IncrementalQuery) {

@@ -116,6 +116,19 @@ std::string PrefixState(const std::vector<std::string>& docs,
   return inferrer.SaveState();
 }
 
+/// Reference: the sequential engine's XSD after folding docs[0..prefix).
+std::string PrefixXsd(const std::vector<std::string>& docs, size_t prefix) {
+  DtdInferrer inferrer;
+  StreamingFolder folder(&inferrer);
+  for (size_t i = 0; i < prefix; ++i) {
+    EXPECT_TRUE(folder.AddXml(docs[i]).ok());
+  }
+  folder.Flush();
+  Result<std::string> xsd = inferrer.InferXsd();
+  EXPECT_TRUE(xsd.ok()) << xsd.status().ToString();
+  return xsd.ok() ? *xsd : std::string();
+}
+
 /// Sorted directory listing (regular entries only).
 std::vector<std::string> ListDir(const std::string& path) {
   std::vector<std::string> names;
@@ -462,6 +475,17 @@ TEST(Corpus, RecoversFromJournalAloneAfterCrash) {
 TEST(Corpus, RecoversFromSnapshotPlusJournal) {
   std::vector<std::string> docs = MixedDocs(8);
   constexpr size_t kSnapshotAt = 5;
+  // `count` is an integer in the snapshot and a word after it: the
+  // recovered XSD must declare a type its every value satisfies.
+  docs.insert(docs.begin() + 1, "<count>7</count>");
+  docs.push_back("<count>seven</count>");
+  const std::string want_xsd = PrefixXsd(docs, docs.size());
+  EXPECT_NE(want_xsd.find("<xs:element name=\"count\" type=\"xs:string\"/>"),
+            std::string::npos)
+      << want_xsd;
+  EXPECT_NE(PrefixXsd(docs, docs.size() - 1)
+                .find("<xs:element name=\"count\" type=\"xs:integer\"/>"),
+            std::string::npos);
   for (int replay_jobs : {1, 3}) {
     SCOPED_TRACE("replay_jobs " + std::to_string(replay_jobs));
     TempDir dir;
@@ -495,10 +519,12 @@ TEST(Corpus, RecoversFromSnapshotPlusJournal) {
     Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
     ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
     EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
+    Result<std::string> xsd = (*recovered)->Query("", /*xsd=*/true);
+    ASSERT_TRUE(xsd.ok()) << xsd.status().ToString();
+    EXPECT_EQ(*xsd, want_xsd);
 
-    // At one job the next snapshot file holds the batch state, byte for
-    // byte (more shards may keep other text samples).
-    if (replay_jobs != 1) continue;
+    // At every job count the next snapshot file holds the batch state,
+    // byte for byte.
     ASSERT_TRUE((*recovered)->WriteSnapshot().ok());
     Result<std::string> snapshot =
         ReadFileToString(dir.path() + "/lib/snapshot-2.state");

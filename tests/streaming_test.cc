@@ -255,17 +255,15 @@ TEST(StreamingDifferential, LenientTagSoupCorpus) {
 TEST(StreamingDifferential, SummariesMatchExactly) {
   // Beyond the DTD: the retained per-element summaries themselves must
   // agree with the reference fold (same SaveState text), per call and
-  // corpus-level, with a sample cap small enough that which text
-  // samples are kept depends on the fold order.
+  // corpus-level, text datatype masks included.
   std::vector<std::string> documents = HandwrittenStrictCorpus();
-  // Nested same-name elements: the inner one ends first, so it is the
-  // sample an end-tag fold keeps under a cap of one.
-  documents.push_back("<deep><n>outer<n>inner</n></n></deep>");
-  InferenceOptions options;
-  options.max_text_samples = 1;
-  DtdInferrer reference(options);
-  DtdInferrer per_call(options);
-  DtdInferrer corpus(options);
+  // Nested same-name elements, the outer one mixed: `n`'s values 7, 1
+  // and +3 are all integers and decimals (2 | 4), not all booleans.
+  documents.push_back("<deep><n> 7 <n>1</n></n></deep>");
+  documents.push_back("<deep><n>+3</n></deep>");
+  DtdInferrer reference;
+  DtdInferrer per_call;
+  DtdInferrer corpus;
   {
     StreamingFolder folder(&corpus);
     for (const std::string& doc : documents) {
@@ -274,7 +272,10 @@ TEST(StreamingDifferential, SummariesMatchExactly) {
       ASSERT_TRUE(folder.AddXml(doc).ok());
     }
   }
-  EXPECT_NE(reference.SaveState().find("text inner\n"), std::string::npos);
+  const std::string state = reference.SaveState();
+  EXPECT_NE(state.find("\nelement n 3 1\ntext.types 6\n"), std::string::npos)
+      << state;
+  EXPECT_EQ(state.find("\ntext "), std::string::npos) << state;
   EXPECT_EQ(per_call.SaveState(), reference.SaveState());
   EXPECT_EQ(corpus.SaveState(), reference.SaveState());
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dtd/dtd_parser.h"
@@ -98,25 +101,38 @@ TEST(XsdWriter, NumericExtrasOverrideBounds) {
       << xsd;
 }
 
+/// The type an element whose text values are `values` declares: the
+/// first surviving bit of the AND of their TextTypes.
+std::string_view TypeOf(std::initializer_list<std::string_view> values) {
+  uint8_t types = kAllTextTypes;
+  for (std::string_view value : values) types &= TextTypes(value);
+  return SimpleTypeName(types);
+}
+
 TEST(SimpleType, Heuristics) {
-  EXPECT_EQ(InferSimpleType({"1", "42", "-7"}), "xs:integer");
-  EXPECT_EQ(InferSimpleType({"1.5", "2"}), "xs:decimal");
-  EXPECT_EQ(InferSimpleType({"2006-09-12", "2026-07-04"}), "xs:date");
-  EXPECT_EQ(InferSimpleType({"true", "false"}), "xs:boolean");
-  EXPECT_EQ(InferSimpleType({"hello", "1"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({}), "xs:string");
+  EXPECT_EQ(TypeOf({"1", "42", "-7"}), "xs:integer");
+  EXPECT_EQ(TypeOf({"1.5", "2"}), "xs:decimal");
+  EXPECT_EQ(TypeOf({"2006-09-12", "2026-07-04"}), "xs:date");
+  EXPECT_EQ(TypeOf({"true", "false"}), "xs:boolean");
+  EXPECT_EQ(TypeOf({"hello", "1"}), "xs:string");
+  // An empty or blank value satisfies no type.
+  EXPECT_EQ(TextTypes(""), 0);
+  EXPECT_EQ(TextTypes(" \n\t"), 0);
+  EXPECT_EQ(SimpleTypeName(0), "xs:string");
+  // Values are whitespace-stripped before they are tested.
+  EXPECT_EQ(TypeOf({" 42\n", "\t7"}), "xs:integer");
   // A decimal needs a digit; a date needs a day that exists.
-  EXPECT_EQ(InferSimpleType({"."}), "xs:string");
-  EXPECT_EQ(InferSimpleType({"-."}), "xs:string");
-  EXPECT_EQ(InferSimpleType({".", "1.5"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({".5", "1."}), "xs:decimal");
-  EXPECT_EQ(InferSimpleType({"2024-13-45"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({"2023-02-29"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({"2024-04-31"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({"2024-00-10"}), "xs:string");
-  EXPECT_EQ(InferSimpleType({"2024-02-29"}), "xs:date");
-  EXPECT_EQ(InferSimpleType({"2000-02-29", "1999-12-31"}), "xs:date");
-  EXPECT_EQ(InferSimpleType({"1900-02-29"}), "xs:string");
+  EXPECT_EQ(TypeOf({"."}), "xs:string");
+  EXPECT_EQ(TypeOf({"-."}), "xs:string");
+  EXPECT_EQ(TypeOf({".", "1.5"}), "xs:string");
+  EXPECT_EQ(TypeOf({".5", "1."}), "xs:decimal");
+  EXPECT_EQ(TypeOf({"2024-13-45"}), "xs:string");
+  EXPECT_EQ(TypeOf({"2023-02-29"}), "xs:string");
+  EXPECT_EQ(TypeOf({"2024-04-31"}), "xs:string");
+  EXPECT_EQ(TypeOf({"2024-00-10"}), "xs:string");
+  EXPECT_EQ(TypeOf({"2024-02-29"}), "xs:date");
+  EXPECT_EQ(TypeOf({"2000-02-29", "1999-12-31"}), "xs:date");
+  EXPECT_EQ(TypeOf({"1900-02-29"}), "xs:string");
 }
 
 }  // namespace
